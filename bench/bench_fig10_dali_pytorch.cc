@@ -2,7 +2,7 @@
 // counts, three panels: (a) CPU preprocessing, (b) optimized preprocessing,
 // (c) end-to-end inference.
 //
-// Measured panel: the real engine runs all three baseline configurations on
+// Measured panel: the real runtime runs all three baseline configurations on
 // this machine's cores (1..hardware_concurrency producers), with each
 // baseline's structural handicaps applied (extra copies, no reuse, no
 // pinning, slower inference stack). Modeled panel: the calibrated scaling
@@ -23,19 +23,19 @@ using namespace smol::bench;
 
 double RunBaseline(const SysoptWorkload& workload, RuntimeBaseline baseline,
                    int producers, double accel_ims) {
-  EngineOptions opts = BaselineEngineOptions(baseline, producers);
-  opts.batch_size = 16;
   SimAccelerator::Options aopts;
   aopts.dnn_throughput_ims = accel_ims * BaselineDnnThroughputFactor(baseline);
   auto accel = std::make_shared<SimAccelerator>(aopts);
   const double overhead_us = BaselinePerImageOverheadUs(baseline);
-  Engine engine(opts, workload.spec,
-                [overhead_us](const WorkItem& item) {
-                  if (overhead_us > 0) BusyWorkMicros(overhead_us);
-                  return SjpgDecode(*item.bytes);
-                },
-                accel);
-  auto stats = engine.Run(workload.items);
+  Server server(
+      BatchRunOptions(BaselinePipelineOptions(baseline, producers)),
+      workload.spec,
+      AdaptDecodeFn([overhead_us](const WorkItem& item) {
+        if (overhead_us > 0) BusyWorkMicros(overhead_us);
+        return SjpgDecode(*item.bytes);
+      }),
+      accel);
+  auto stats = RunToCompletion(server, workload.items);
   return stats.ok() ? stats->throughput_ims : 0.0;
 }
 

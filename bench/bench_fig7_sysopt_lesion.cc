@@ -17,16 +17,15 @@ int main() {
 
   struct Lesion {
     const char* name;
-    void (*apply)(EngineOptions&);
+    void (*apply)(PipelineOptions&);
   };
   const Lesion lesions[] = {
-      {"All", [](EngineOptions&) {}},
-      {"- threading",
-       [](EngineOptions& o) { o.enable_threading = false; }},
+      {"All", [](PipelineOptions&) {}},
+      {"- threading", [](PipelineOptions& o) { o.num_producers = 1; }},
       {"- mem reuse",
-       [](EngineOptions& o) { o.enable_memory_reuse = false; }},
-      {"- pinned", [](EngineOptions& o) { o.enable_pinned = false; }},
-      {"- DAG", [](EngineOptions& o) { o.enable_dag_opt = false; }},
+       [](PipelineOptions& o) { o.enable_memory_reuse = false; }},
+      {"- pinned", [](PipelineOptions& o) { o.enable_pinned = false; }},
+      {"- DAG", [](PipelineOptions& o) { o.enable_dag_opt = false; }},
   };
 
   bool ok = true;
@@ -36,10 +35,9 @@ int main() {
     const bool low_res_panel = std::string(label) == "Low resolution";
     std::printf("\n--- %s (%dx%d SJPG) ---\n", label, size, size);
     const SysoptWorkload workload = MakeSysoptWorkload(count, size);
-    std::vector<EngineOptions> configs;
+    std::vector<PipelineOptions> configs;
     for (const Lesion& lesion : lesions) {
-      EngineOptions opts;
-      opts.batch_size = 16;
+      PipelineOptions opts;
       lesion.apply(opts);
       configs.push_back(opts);
     }

@@ -14,30 +14,30 @@ int main() {
 
   struct Factor {
     const char* name;
-    void (*apply)(EngineOptions&);
+    void (*apply)(PipelineOptions&);
   };
   // Cumulative: each step turns one more optimization on.
   const Factor factors[] = {
       {"None",
-       [](EngineOptions& o) {
-         o.enable_threading = false;
+       [](PipelineOptions& o) {
+         o.num_producers = 1;
          o.enable_memory_reuse = false;
          o.enable_pinned = false;
          o.enable_dag_opt = false;
        }},
       {"+ threading",
-       [](EngineOptions& o) {
+       [](PipelineOptions& o) {
          o.enable_memory_reuse = false;
          o.enable_pinned = false;
          o.enable_dag_opt = false;
        }},
       {"+ mem reuse",
-       [](EngineOptions& o) {
+       [](PipelineOptions& o) {
          o.enable_pinned = false;
          o.enable_dag_opt = false;
        }},
-      {"+ pinned", [](EngineOptions& o) { o.enable_dag_opt = false; }},
-      {"+ DAG", [](EngineOptions&) {}},
+      {"+ pinned", [](PipelineOptions& o) { o.enable_dag_opt = false; }},
+      {"+ DAG", [](PipelineOptions&) {}},
   };
 
   bool ok = true;
@@ -46,10 +46,9 @@ int main() {
         std::tuple{"Low resolution", 96, 2500}}) {
     std::printf("\n--- %s (%dx%d SJPG) ---\n", label, size, size);
     const SysoptWorkload workload = MakeSysoptWorkload(count, size);
-    std::vector<EngineOptions> configs;
+    std::vector<PipelineOptions> configs;
     for (const Factor& factor : factors) {
-      EngineOptions opts;
-      opts.batch_size = 16;
+      PipelineOptions opts;
       factor.apply(opts);
       configs.push_back(opts);
     }

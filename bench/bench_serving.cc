@@ -1,11 +1,11 @@
 // Serving bench: open-loop Poisson arrivals against the streaming Server,
 // sweeping offered load up to (and past) the pipeline's batch capacity.
 //
-// The reference capacity is the one-shot Engine::Run throughput on the same
-// workload. The claim under test: the Server sustains that capacity at max
-// offered load (within 10%) while reporting real per-request latency
-// percentiles — i.e. going streaming costs ~nothing in throughput, and
-// overload is absorbed by shedding, not collapse.
+// The reference capacity is the one-shot RunToCompletion batch-run
+// throughput on the same workload. The claim under test: the Server sustains
+// that capacity at max offered load (within 10%) while reporting real
+// per-request latency percentiles — i.e. going streaming costs ~nothing in
+// throughput, and overload is absorbed by shedding, not collapse.
 //
 // A second sweep drives a zipfian repeated-content workload (the video
 // setting: consecutive frames repeat content) through the same open loop
@@ -57,7 +57,7 @@ struct LoadPoint {
 
 /// Drives one open-loop run: exponential inter-arrivals at \p rate_ims,
 /// shedding (not blocking) when admission fills, for \p num_arrivals
-/// requests. The WorkItem bytes outlive the server (owned by workload).
+/// requests. The request bytes outlive the server (owned by workload).
 /// \p order, when non-null, maps request -> workload item index (the zipfian
 /// sweep passes its sampled sequence); round-robin otherwise.
 LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
@@ -73,7 +73,7 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
   opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kShed;
-  Server server(opts, workload.spec, SysoptDecode,
+  Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode),
                 std::make_shared<SimAccelerator>(aopts));
 
   // Poisson arrival times, laid out up front against absolute time so sleep
@@ -105,8 +105,7 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
           order != nullptr
               ? static_cast<size_t>((*order)[submitted % order->size()])
               : submitted % workload.items.size();
-      server.Submit(InferenceRequest::FromWorkItem(workload.items[item_index]),
-                    [](const InferenceReply&) {});
+      server.Submit(workload.items[item_index], [](const InferenceReply&) {});
       ++submitted;
     }
   }
@@ -150,7 +149,7 @@ AdaptiveBurstResult RunAdaptiveBurst(const SysoptWorkload& workload,
     opts.adaptive.ladder_scales = {1.0, 0.75, 0.55};
     opts.adaptive.controller.sample_interval_us = 5000.0;
   }
-  Server server(opts, workload.spec, SysoptDecode,
+  Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode),
                 std::make_shared<SimAccelerator>(aopts));
 
   std::atomic<uint64_t> ok{0}, within{0}, degraded{0};
@@ -171,11 +170,11 @@ AdaptiveBurstResult RunAdaptiveBurst(const SysoptWorkload& workload,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     while (submitted < arrival_s.size() && arrival_s[submitted] <= elapsed) {
+      InferenceRequest request =
+          workload.items[submitted % workload.items.size()];
+      request.klass = RequestClass::kLatencySlo;
       server.Submit(
-          InferenceRequest::FromWorkItem(
-              workload.items[submitted % workload.items.size()],
-              RequestClass::kLatencySlo),
-          [&, bound_us](const InferenceReply& reply) {
+          std::move(request), [&, bound_us](const InferenceReply& reply) {
             if (!reply.ok()) return;
             ok.fetch_add(1, std::memory_order_relaxed);
             if (reply.latency_us <= bound_us) {
@@ -200,14 +199,13 @@ AdaptiveBurstResult RunAdaptiveBurst(const SysoptWorkload& workload,
   AdaptiveBurstResult result;
   // The queue may still be draining; a shed probe says nothing about the
   // restored rung, so retry until one is admitted.
+  InferenceRequest probe_request = workload.items[0];
+  probe_request.klass = RequestClass::kLatencySlo;
   InferenceReply probe;
   const auto probe_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   do {
-    probe = server
-                .Submit(InferenceRequest::FromWorkItem(
-                    workload.items[0], RequestClass::kLatencySlo))
-                .get();
+    probe = server.Submit(probe_request).get();
     if (probe.ok()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   } while (std::chrono::steady_clock::now() < probe_deadline);
@@ -243,12 +241,11 @@ ServerStats RunClosedLoopFleet(const SysoptWorkload& workload,
   opts.dispatch = policy;
   opts.shard_queue_capacity = 32;
   opts.devices = std::move(devices);
-  Server server(opts, workload.spec, SysoptDecode, nullptr);
+  Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode), nullptr);
   for (int i = 0; i < num_requests; ++i) {
-    server.Submit(InferenceRequest::FromWorkItem(
-                      workload.items[static_cast<size_t>(i) %
-                                     workload.items.size()]),
-                  [](const InferenceReply&) {});
+    server.Submit(
+        workload.items[static_cast<size_t>(i) % workload.items.size()],
+        [](const InferenceReply&) {});
   }
   server.Shutdown();
   return server.stats();
@@ -341,14 +338,15 @@ int main(int argc, char** argv) {
   const SysoptWorkload workload = MakeSysoptWorkload(/*count=*/512,
                                                      /*size=*/128);
 
-  // Reference: the one-shot batch runner on the same images (best of 2).
-  EngineOptions eng;
-  eng.batch_size = 16;
+  // Reference: a one-shot batch run on the same images (best of 2).
+  const PipelineOptions batch_pipeline;
   double batch_capacity = 0.0;
   for (int round = 0; round < 2; ++round) {
-    batch_capacity = std::max(batch_capacity, RunSysoptOnce(workload, eng));
+    batch_capacity =
+        std::max(batch_capacity, RunSysoptOnce(workload, batch_pipeline));
   }
-  std::printf("Engine::Run batch capacity: %.0f im/s\n\n", batch_capacity);
+  std::printf("RunToCompletion batch capacity: %.0f im/s\n\n",
+              batch_capacity);
 
   PrintRow({"Offered (im/s)", "Served (im/s)", "Shed %", "p50 (ms)",
             "p99 (ms)", "Mean batch"},
@@ -402,7 +400,7 @@ int main(int argc, char** argv) {
   // capacity is re-measured after the sweep and the check grades against
   // the slower bracket — that tracks the code, not ambient drift (on a
   // stable host both measurements agree and the bracket changes nothing).
-  const double capacity_after = RunSysoptOnce(workload, eng);
+  const double capacity_after = RunSysoptOnce(workload, batch_pipeline);
   const double graded_capacity = std::min(batch_capacity, capacity_after);
   const double ratio =
       graded_capacity > 0.0 ? max_load_served / graded_capacity : 0.0;

@@ -1,7 +1,7 @@
-// Shared machinery for the Figure 7/8 systems-optimization benches: runs the
-// REAL engine (real SJPG decode, real preprocessing, simulated accelerator)
-// over an encoded image set under a given set of engine toggles and reports
-// measured wall-clock throughput.
+// Shared machinery for the Figure 7/8 systems-optimization benches: serves an
+// encoded image set as one batch run on the REAL runtime (real SJPG decode,
+// real preprocessing, simulated accelerator) under a given set of pipeline
+// toggles and reports measured wall-clock throughput.
 #ifndef SMOL_BENCH_SYSOPT_COMMON_H_
 #define SMOL_BENCH_SYSOPT_COMMON_H_
 
@@ -11,14 +11,14 @@
 #include "bench/bench_common.h"
 #include "src/codec/sjpg.h"
 #include "src/data/synth_image.h"
-#include "src/runtime/engine.h"
+#include "src/runtime/server.h"
 
 namespace smol::bench {
 
 /// Encoded workload: images at one resolution, SJPG-compressed.
 struct SysoptWorkload {
   std::vector<std::vector<uint8_t>> encoded;
-  std::vector<WorkItem> items;
+  std::vector<InferenceRequest> items;
   PipelineSpec spec;
 };
 
@@ -38,7 +38,7 @@ inline SysoptWorkload MakeSysoptWorkload(int count, int size,
     w.encoded.push_back(std::move(bytes).MoveValue());
   }
   for (auto& bytes : w.encoded) {
-    WorkItem item;
+    InferenceRequest item;
     item.bytes = &bytes;
     w.items.push_back(item);
   }
@@ -60,28 +60,43 @@ inline Result<Image> SysoptDecode(const WorkItem& item) {
   return SjpgDecode(*item.bytes, opts);
 }
 
-/// Runs the engine once and returns measured throughput (im/s).
+/// Server options of a one-shot batch run over \p pipeline: full 16-image
+/// batches (the window outlasts the run; Shutdown() flushes the last partial
+/// batch) behind blocking admission.
+inline ServerOptions BatchRunOptions(const PipelineOptions& pipeline) {
+  ServerOptions opts;
+  opts.pipeline = pipeline;
+  opts.max_batch = 16;
+  opts.max_queue_delay_us = 1e9;
+  opts.overload = OverloadPolicy::kBlock;
+  opts.admission_capacity = 64;
+  return opts;
+}
+
+/// Serves the workload once as a batch run and returns measured throughput
+/// (im/s).
 inline double RunSysoptOnce(const SysoptWorkload& workload,
-                            EngineOptions options) {
+                            PipelineOptions pipeline) {
   SimAccelerator::Options aopts;
   // Fast accelerator: the run is preprocessing-bound, so the CPU-side
   // optimizations under study are what the measurement sees.
   aopts.dnn_throughput_ims = 200000.0;
   // One consumer is plenty (it mostly sleeps in the simulator) and keeps the
   // thread count at producers+1 so producers are not descheduled.
-  options.num_consumers = 1;
-  auto accel = std::make_shared<SimAccelerator>(aopts);
-  Engine engine(options, workload.spec, SysoptDecode, accel);
-  auto stats = engine.Run(workload.items);
+  pipeline.num_consumers = 1;
+  Server server(BatchRunOptions(pipeline), workload.spec,
+                AdaptDecodeFn(SysoptDecode),
+                std::make_shared<SimAccelerator>(aopts));
+  auto stats = RunToCompletion(server, workload.items);
   return stats.ok() ? stats->throughput_ims : 0.0;
 }
 
-/// Measures a set of engine configurations round-robin over several rounds
+/// Measures a set of pipeline configurations round-robin over several rounds
 /// and reports each configuration's best round. Interleaving makes host
 /// drift (VM steal, frequency scaling) hit every configuration equally —
 /// essential on small shared machines.
 inline std::vector<double> MeasureConfigs(
-    const SysoptWorkload& workload, const std::vector<EngineOptions>& configs,
+    const SysoptWorkload& workload, const std::vector<PipelineOptions>& configs,
     int rounds = 4) {
   std::vector<double> best(configs.size(), 0.0);
   for (int r = 0; r < rounds; ++r) {

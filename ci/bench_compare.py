@@ -7,11 +7,12 @@ Usage (normally via `ci/check.sh --bench-compare OLD NEW`):
         --threshold 0.15 [--metric real_time]
 
 A benchmark REGRESSES when its new time exceeds old * (1 + threshold).
-Benchmarks are matched by name; entries present in only one snapshot are
-listed but do not fail the gate (new benchmarks appear, retired ones go).
+Benchmarks are matched by name. A benchmark present in OLD but missing from
+NEW fails the gate, so a dropped row cannot pass silently; benchmarks new in
+NEW are listed and allowed.
 Only plain iteration runs are compared (aggregate rows like `_mean` are
-skipped). Exit status: 0 = no regressions, 1 = at least one regression,
-2 = usage/parse error.
+skipped). Exit status: 0 = no regressions, 1 = at least one regression or
+missing benchmark, 2 = usage/parse error.
 
 Wall-clock comparisons are only meaningful between runs on the same class
 of machine; the CI workflow therefore treats this gate as advisory on
@@ -92,18 +93,24 @@ def main():
         print(f"{name:<44} {format_ns(old[name]):>10} "
               f"{format_ns(new[name]):>10} {ratio:>6.2f}x{flag}")
 
-    for name in sorted(old.keys() - new.keys()):
-        print(f"{name:<44} only in {args.old} (ignored)")
+    missing = sorted(old.keys() - new.keys())
+    for name in missing:
+        print(f"{name:<44} only in {args.old}  << MISSING")
     for name in sorted(new.keys() - old.keys()):
-        print(f"{name:<44} only in {args.new} (ignored)")
+        print(f"{name:<44} only in {args.new} (new)")
 
     compared = len(old.keys() & new.keys())
     print(f"\ncompared {compared} benchmarks against {args.old}: "
           f"{len(regressions)} regressed >{args.threshold:.0%}, "
-          f"{improvements} improved >{args.threshold:.0%}")
+          f"{improvements} improved >{args.threshold:.0%}, "
+          f"{len(missing)} missing")
     if regressions:
         worst = max(regressions, key=lambda r: r[1])
         print(f"FAIL: worst regression {worst[0]} at {worst[1]:.2f}x")
+    if missing:
+        print(f"FAIL: {len(missing)} benchmark(s) in {args.old} missing "
+              f"from {args.new}")
+    if regressions or missing:
         return 1
     print("OK: no benchmark regressed beyond the threshold")
     return 0

@@ -8,9 +8,12 @@
 #   ci/check.sh --werror                 # add -DSMOL_WERROR=ON (combinable)
 #   ci/check.sh --bench-smoke [out]      # bench_micro + bench_serving smoke
 #                                        #   -> merged JSON snapshot
-#                                        #   (default out: BENCH_pr8.json)
+#                                        #   (default out: bench_smoke_ci.json,
+#                                        #   gitignored; name a BENCH_*.json
+#                                        #   to record a snapshot)
 #   ci/check.sh --bench-compare OLD NEW  # fail if any benchmark in NEW
-#                                        #   regressed >15% vs OLD
+#                                        #   regressed >15% vs OLD, or a
+#                                        #   benchmark in OLD is missing
 #   ci/check.sh --format                 # clang-format check (check-only)
 #   ci/check.sh -L unit                  # remaining args are passed to ctest
 set -euo pipefail
@@ -22,7 +25,7 @@ BUILD_DIR=build
 MODE=check
 CMAKE_ARGS=()
 CTEST_ARGS=(--output-on-failure -j "${JOBS}")
-BENCH_OUT=BENCH_pr8.json
+BENCH_OUT=bench_smoke_ci.json
 COMPARE_OLD=""
 COMPARE_NEW=""
 WANT_ASAN=0
@@ -45,7 +48,7 @@ while [[ $# -gt 0 ]]; do
       WANT_TSAN=1
       BUILD_DIR=build-tsan
       # TSan targets the threaded serving stack: the MPMC queue / histogram /
-      # pool primitives, the engine, and the sharded server. The
+      # pool primitives, batch runs, and the sharded server. The
       # compute-heavy single-threaded suites add hours under TSan for no
       # thread coverage, so the run is scoped to the concurrency suites.
       # SMOL_SANITIZE_THREAD also forces GoogleTest to build from source so

@@ -1,6 +1,7 @@
 // Image classification end to end: train a specialized ladder, profile
 // accuracy per stored format, let the Smol optimizer pick a plan under an
-// accuracy constraint, and execute it in the pipelined runtime engine.
+// accuracy constraint, and execute it as one batch run on the serving
+// runtime.
 //
 // This is the §3.2 "classification example" (Tahoma-style deployment) on the
 // synthetic animals-10 dataset.
@@ -13,7 +14,7 @@
 #include "src/core/optimizer.h"
 #include "src/data/datasets.h"
 #include "src/hw/throughput_model.h"
-#include "src/runtime/engine.h"
+#include "src/runtime/server.h"
 #include "src/util/macros.h"
 
 using namespace smol;
@@ -83,12 +84,12 @@ int main() {
   // --- Execute the plan in the pipelined runtime. ----------------------------
   auto stored = dataset->EncodeTestSet(plan->format);
   SMOL_CHECK_OK(stored.status());
-  std::vector<WorkItem> items;
+  std::vector<InferenceRequest> requests;
   for (const auto& s : *stored) {
-    WorkItem item;
-    item.bytes = &s.bytes;
-    item.label = s.label;
-    items.push_back(item);
+    InferenceRequest request;
+    request.bytes = &s.bytes;
+    request.label = s.label;
+    requests.push_back(request);
   }
   PipelineSpec pspec;
   const bool thumb = IsThumbnail(plan->format);
@@ -100,18 +101,24 @@ int main() {
   SimAccelerator::Options aopts;
   aopts.dnn_throughput_ims = plan->exec_ims;
   auto accel = std::make_shared<SimAccelerator>(aopts);
-  Engine engine(
-      EngineOptions{}, pspec,
-      [&](const WorkItem& item) {
-        return ImageDataset::DecodeStored(StoredImage{*item.bytes, item.label},
-                                          plan->format);
-      },
-      accel);
-  auto stats = engine.Run(items);
+  // A batch run: full 16-image batches (the window outlasts the run;
+  // Shutdown() flushes the last partial batch) behind blocking admission.
+  ServerOptions opts;
+  opts.max_batch = 16;
+  opts.max_queue_delay_us = 1e9;
+  opts.admission_capacity = 64;
+  opts.overload = OverloadPolicy::kBlock;
+  Server server(opts, pspec,
+                AdaptDecodeFn([&](const WorkItem& item) {
+                  return ImageDataset::DecodeStored(
+                      StoredImage{*item.bytes, item.label}, plan->format);
+                }),
+                accel);
+  auto stats = RunToCompletion(server, requests);
   SMOL_CHECK_OK(stats.status());
   std::printf("Runtime: %llu images at %.0f im/s measured on this host "
               "(decode %.0f ms, preprocess %.0f ms)\n",
-              static_cast<unsigned long long>(stats->images),
+              static_cast<unsigned long long>(stats->completed),
               stats->throughput_ims, stats->decode_seconds * 1e3,
               stats->preprocess_seconds * 1e3);
   std::printf("Done: plan estimated %.0f im/s end-to-end at %.1f%% accuracy "

@@ -30,13 +30,15 @@ using namespace smol;
 
 namespace {
 
-Result<Image> DecodeSjpg(const WorkItem& item) {
+// Decodes into the worker's reusable scratch image (no per-request
+// allocation once the scratch has grown to the largest image).
+Status DecodeSjpg(const WorkItem& item, Image* out) {
   SjpgDecodeOptions opts;
   opts.roi = item.roi;
   // The adaptive ladder's multi-resolution decode lever; the codec rejects
   // combining it with an ROI, so it only applies to full-frame requests.
   if (item.roi.empty()) opts.scale_denom = item.decode_scale_denom;
-  return SjpgDecode(*item.bytes, opts);
+  return SjpgDecodeInto(*item.bytes, opts, out);
 }
 
 void PrintStats(const char* title, const ServerStats& s) {
@@ -133,7 +135,7 @@ int main() {
     SimAccelerator::Options slow = accel_opts;
     slow.dnn_throughput_ims = 300.0;  // a much slower device...
     ServerOptions opts;
-    opts.pipeline.queue_capacity = 4;
+    opts.shard_queue_capacity = 4;
     opts.admission_capacity = 4;      // ...behind tiny bounded queues
     opts.max_batch = 4;
     opts.overload = OverloadPolicy::kShed;

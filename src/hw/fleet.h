@@ -23,8 +23,8 @@ namespace smol {
 
 /// \brief Knobs shared by every device a fleet factory builds.
 ///
-/// Named for the simulated-device factories it drives; the engine-level
-/// FleetOptions (runtime/engine.h) is the serving-side fleet shape.
+/// Named for the simulated-device factories it drives; the serving-side
+/// fleet is the device list in ServerOptions::devices (runtime/server.h).
 struct SimFleetOptions {
   /// Reference architecture whose Table 1/2/5 calibration sets each GPU's
   /// modelled throughput (and hence its capacity weight).

@@ -14,9 +14,9 @@ const char* RuntimeBaselineName(RuntimeBaseline baseline) {
   return "?";
 }
 
-EngineOptions BaselineEngineOptions(RuntimeBaseline baseline,
-                                    int num_producers) {
-  EngineOptions opts;
+PipelineOptions BaselinePipelineOptions(RuntimeBaseline baseline,
+                                        int num_producers) {
+  PipelineOptions opts;
   opts.num_producers = num_producers;
   switch (baseline) {
     case RuntimeBaseline::kSmol:

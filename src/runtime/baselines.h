@@ -1,8 +1,9 @@
 // Baseline runtime configurations for the Appendix A.1 comparison (Fig. 10).
 //
 // Neither baseline is a reimplementation of the external library; each is
-// this repo's engine deliberately configured with the structural limitations
-// the paper attributes to DALI and PyTorch for *inference* workloads:
+// this repo's Server pipeline deliberately configured with the structural
+// limitations the paper attributes to DALI and PyTorch for *inference*
+// workloads:
 //
 //  * DALI-like: training-oriented loader — must hand fresh buffers to the
 //    caller (no memory reuse), uses a fixed preprocessing pipeline regardless
@@ -14,7 +15,7 @@
 #ifndef SMOL_RUNTIME_BASELINES_H_
 #define SMOL_RUNTIME_BASELINES_H_
 
-#include "src/runtime/engine.h"
+#include "src/runtime/server.h"
 
 namespace smol {
 
@@ -23,9 +24,9 @@ enum class RuntimeBaseline { kSmol, kDaliLike, kPyTorchLike };
 
 const char* RuntimeBaselineName(RuntimeBaseline baseline);
 
-/// Engine options that express each baseline's structural limitations.
-EngineOptions BaselineEngineOptions(RuntimeBaseline baseline,
-                                    int num_producers);
+/// Pipeline options that express each baseline's structural limitations.
+PipelineOptions BaselinePipelineOptions(RuntimeBaseline baseline,
+                                        int num_producers);
 
 /// Per-image extra host overhead (microseconds) each baseline pays on the
 /// producer path: DALI's extra inference-integration copy, PyTorch's

@@ -2,8 +2,7 @@
 
 #include <utility>
 
-#include "src/util/macros.h"
-#include "src/util/stopwatch.h"
+#include "src/util/tensor_cache.h"
 
 namespace smol {
 
@@ -15,14 +14,6 @@ DecodeIntoFn AdaptDecodeFn(DecodeFn decode) {
     *out = std::move(decoded).MoveValue();
     return Status::OK();
   };
-}
-
-std::shared_ptr<const PooledBuffer> SharePooled(
-    std::unique_ptr<PooledBuffer> buffer, BufferPool* pool) {
-  return std::shared_ptr<const PooledBuffer>(
-      buffer.release(), [pool](const PooledBuffer* b) {
-        pool->Put(std::unique_ptr<PooledBuffer>(const_cast<PooledBuffer*>(b)));
-      });
 }
 
 PreprocPlan CompilePipelinePlan(const PipelineSpec& spec,
@@ -58,101 +49,6 @@ uint64_t PipelinePlanFingerprint(const PreprocPlan& plan,
   h = TensorCache::HashBytes(spec.normalize.std, sizeof(spec.normalize.std),
                              h);
   return h;
-}
-
-uint64_t WorkItemContentHash(const WorkItem& item) {
-  uint64_t h = item.bytes != nullptr
-                   ? TensorCache::HashBytes(item.bytes->data(),
-                                            item.bytes->size())
-                   : 0;
-  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
-                                      static_cast<int64_t>(item.roi.x)));
-  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
-                                      static_cast<int64_t>(item.roi.y)));
-  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
-                                      static_cast<int64_t>(item.roi.width)));
-  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
-                                      static_cast<int64_t>(item.roi.height)));
-  h = TensorCache::HashCombine(
-      h, static_cast<uint64_t>(static_cast<int64_t>(item.decode_scale_denom)));
-  return h;
-}
-
-Result<StagedSample> DecodeAndStage(const WorkItem& item,
-                                    const DecodeIntoFn& decode,
-                                    const PreprocPlan& plan,
-                                    const PipelineSpec& spec, BufferPool& pool,
-                                    PipelineCounters& counters,
-                                    PipelineScratch& scratch,
-                                    TensorCache* cache,
-                                    uint64_t plan_fingerprint) {
-  TensorCache::Key key;
-  if (cache != nullptr) {
-    key.content_hash = WorkItemContentHash(item);
-    key.plan_fingerprint = plan_fingerprint;
-    if (auto cached = cache->Get(key)) {
-      // Repeated content: stage the cached tensor's bytes directly — no
-      // decode, no preprocessing, no copy.
-      StagedSample out;
-      out.buffer = std::move(cached->buffer);
-      out.float_count = cached->float_count;
-      out.label = item.label;
-      out.cache_hit = true;
-      return out;
-    }
-  }
-
-  Stopwatch sw;
-  Status decoded = decode(item, &scratch.decoded);
-  counters.decode_us.fetch_add(static_cast<uint64_t>(sw.ElapsedMicros()));
-  SMOL_RETURN_IF_ERROR(decoded);
-
-  sw.Restart();
-  // Size the staging buffer from the plan's output geometry, then let the
-  // plan's terminal op write the tensor straight into it (zero-copy).
-  SMOL_ASSIGN_OR_RETURN(
-      const size_t floats,
-      PlanOutputFloats(plan, spec, scratch.decoded.width(),
-                       scratch.decoded.height(), scratch.decoded.channels()));
-  std::unique_ptr<PooledBuffer> buffer = pool.Get(floats * sizeof(float));
-  SMOL_ASSIGN_OR_RETURN(
-      const size_t written,
-      ExecutePlanInto(plan, spec, scratch.decoded, scratch.preproc,
-                      reinterpret_cast<float*>(buffer->data.data()), floats));
-  counters.preproc_us.fetch_add(static_cast<uint64_t>(sw.ElapsedMicros()));
-  if (written != floats) {
-    return Status::Internal("plan output size mismatch");
-  }
-
-  StagedSample out;
-  out.float_count = floats;
-  out.label = item.label;
-  out.buffer = SharePooled(std::move(buffer), &pool);
-  if (cache != nullptr) {
-    CachedTensor value;
-    value.buffer = out.buffer;  // second reference; bytes are shared, not copied
-    value.float_count = floats;
-    cache->Put(key, std::move(value));
-  }
-  return out;
-}
-
-int SubmitStagedBatch(std::vector<StagedSample>& batch, Device& device) {
-  if (batch.empty()) return 0;
-  size_t bytes = 0;
-  bool pinned = true;
-  for (const auto& sample : batch) {
-    bytes += sample.buffer->data.size();
-    pinned = pinned && sample.buffer->pinned;
-  }
-  const int batch_size = static_cast<int>(batch.size());
-  // One scatter-gather descriptor per pooled sample buffer: the batch is
-  // gathered by the DMA engine, not copied into a contiguous staging area.
-  device.ExecuteBatch(batch_size, bytes, pinned, /*chunks=*/batch_size);
-  // Dropping the references recycles each buffer to its pool — unless the
-  // tensor cache still holds it, in which case it stays resident for reuse.
-  batch.clear();
-  return batch_size;
 }
 
 }  // namespace smol

@@ -1,46 +1,33 @@
-// Shared pipeline internals of the one-shot Engine and the streaming Server.
+// Pipeline vocabulary shared by the serving runtime (runtime/server.h), its
+// plan ladder (runtime/plan_controller.h) and the decoders callers plug in.
 //
-// Both runtimes move work through the same three stages (§6.1, Appendix A):
+// The runtime moves work through the §6.1 / Appendix A stages:
 //
 //   decode -> preprocess (DAG-optimized plan) -> pooled (pinned) staging
 //   buffer -> coalesced batch -> simulated accelerator
 //
-// This header factors the stage bodies out so the batch runner
-// (runtime/engine.h) and the serving runtime (runtime/server.h) share one
-// implementation of plan compilation, the producer body, and the consumer
-// submit, differing only in how requests arrive and how completions are
-// reported.
-//
-// Memory path (zero-copy): the decoder emits into a per-thread scratch image,
-// the plan executor's terminal op writes the f32 CHW tensor directly into a
-// pooled (pinned) staging buffer (ExecutePlanInto), and batch submission is a
-// scatter-gather over those per-sample buffers — the preprocessed tensor is
-// written exactly once and never copied between stages. Staged buffers are
-// shared, immutable references so the optional tensor cache can retain them
-// past batch completion; the last reference recycles the buffer to its pool.
+// This header holds what more than one of those users names: the decode
+// descriptor the server hands the decoder, the two decoder flavours, and
+// plan compilation plus its cache fingerprint. The stage bodies themselves
+// live in runtime/server.cc.
 #ifndef SMOL_RUNTIME_PIPELINE_H_
 #define SMOL_RUNTIME_PIPELINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/codec/image.h"
-#include "src/hw/sim_accelerator.h"
 #include "src/preproc/graph.h"
-#include "src/util/buffer_pool.h"
 #include "src/util/result.h"
-#include "src/util/tensor_cache.h"
 
 namespace smol {
 
-/// \brief A unit of work: one stored (encoded) image.
+/// \brief What the server hands the decoder for one request: the encoded
+/// image plus how to decode it.
 ///
-/// The caller owns the encoded bytes and must keep them alive until the
-/// item's result is delivered (Engine::Run returns / the Server future or
-/// callback fires).
+/// The bytes belong to the request's caller, who keeps them alive until the
+/// reply is delivered.
 struct WorkItem {
   const std::vector<uint8_t>* bytes = nullptr;  ///< encoded stream
   int label = 0;
@@ -65,36 +52,6 @@ using DecodeIntoFn = std::function<Status(const WorkItem&, Image* out)>;
 /// Wraps a value-returning DecodeFn as a DecodeIntoFn (one move, no copy).
 DecodeIntoFn AdaptDecodeFn(DecodeFn decode);
 
-/// \brief Wall-time counters summed across producer threads.
-struct PipelineCounters {
-  std::atomic<uint64_t> decode_us{0};
-  std::atomic<uint64_t> preproc_us{0};
-};
-
-/// \brief Per-producer-thread reusable state (scratch image + plan scratch).
-struct PipelineScratch {
-  Image decoded;
-  PreprocScratch preproc;
-};
-
-/// \brief A preprocessed sample staged in a pooled (possibly pinned) buffer.
-///
-/// The buffer is a shared immutable reference: the tensor cache may hold a
-/// second reference so future requests for the same content stage the same
-/// bytes. Dropping the last reference recycles the buffer to its pool.
-struct StagedSample {
-  std::shared_ptr<const PooledBuffer> buffer;  ///< f32 CHW bytes
-  size_t float_count = 0;
-  int label = 0;
-  bool cache_hit = false;  ///< served from the tensor cache (decode skipped)
-};
-
-/// Wraps a pool-owned buffer in a shared_ptr whose deleter returns it to
-/// \p pool. \p pool must outlive every reference (runtimes declare the pool
-/// before the cache and the queues for exactly this reason).
-std::shared_ptr<const PooledBuffer> SharePooled(
-    std::unique_ptr<PooledBuffer> buffer, BufferPool* pool);
-
 /// Compiles the preprocessing plan once (§6.2). With \p enable_dag_opt off
 /// (the Fig. 7/8 lesion) this returns the naive §2 reference ordering.
 PreprocPlan CompilePipelinePlan(const PipelineSpec& spec, bool enable_dag_opt);
@@ -104,31 +61,6 @@ PreprocPlan CompilePipelinePlan(const PipelineSpec& spec, bool enable_dag_opt);
 /// under one plan are never served to a pipeline compiled differently.
 uint64_t PipelinePlanFingerprint(const PreprocPlan& plan,
                                  const PipelineSpec& spec);
-
-/// Content hash of one work item (encoded bytes + ROI): the content half of
-/// the tensor cache key.
-uint64_t WorkItemContentHash(const WorkItem& item);
-
-/// Producer body: decode \p item into \p scratch, execute \p plan writing the
-/// tensor directly into a pooled staging buffer (zero-copy; recycled across
-/// batches when the pool has reuse enabled). With \p cache non-null, repeated
-/// content is served from the cache — skipping decode and preprocessing — and
-/// misses are inserted under (content hash, \p plan_fingerprint).
-/// Decode/preprocess wall time is added to \p counters.
-Result<StagedSample> DecodeAndStage(const WorkItem& item,
-                                    const DecodeIntoFn& decode,
-                                    const PreprocPlan& plan,
-                                    const PipelineSpec& spec, BufferPool& pool,
-                                    PipelineCounters& counters,
-                                    PipelineScratch& scratch,
-                                    TensorCache* cache = nullptr,
-                                    uint64_t plan_fingerprint = 0);
-
-/// Consumer body: submits one coalesced batch to \p device as a
-/// scatter-gather list (one chunk per pooled sample buffer) and drops the
-/// batch's buffer references, recycling each buffer to its pool unless the
-/// tensor cache still holds it. Clears \p batch; returns its size.
-int SubmitStagedBatch(std::vector<StagedSample>& batch, Device& device);
 
 }  // namespace smol
 

@@ -7,7 +7,8 @@
 
 #include "src/util/cpu_features.h"
 #include "src/util/logging.h"
-#include "src/util/tensor_cache.h"
+#include "src/util/macros.h"
+#include "src/util/stopwatch.h"
 
 namespace smol {
 
@@ -28,7 +29,43 @@ void StoreMax(std::atomic<T>& target, T value) {
   }
 }
 
+/// Wraps a pool-owned buffer in a shared_ptr whose deleter returns it to
+/// \p pool. \p pool must outlive every reference (the server declares the
+/// shards that own the pools before the cache and the queues for exactly
+/// this reason).
+std::shared_ptr<const PooledBuffer> SharePooled(
+    std::unique_ptr<PooledBuffer> buffer, BufferPool* pool) {
+  return std::shared_ptr<const PooledBuffer>(
+      buffer.release(), [pool](const PooledBuffer* b) {
+        pool->Put(std::unique_ptr<PooledBuffer>(const_cast<PooledBuffer*>(b)));
+      });
+}
+
+/// Content hash of one work item (encoded bytes + ROI + decode scale): the
+/// content half of the tensor cache key.
+uint64_t WorkItemContentHash(const WorkItem& item) {
+  uint64_t h = TensorCache::HashBytes(item.bytes->data(), item.bytes->size());
+  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
+                                      static_cast<int64_t>(item.roi.x)));
+  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
+                                      static_cast<int64_t>(item.roi.y)));
+  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
+                                      static_cast<int64_t>(item.roi.width)));
+  h = TensorCache::HashCombine(h, static_cast<uint64_t>(
+                                      static_cast<int64_t>(item.roi.height)));
+  h = TensorCache::HashCombine(
+      h, static_cast<uint64_t>(static_cast<int64_t>(item.decode_scale_denom)));
+  return h;
+}
+
 }  // namespace
+
+/// Per-worker reusable state: the decode image and the plan's intermediates
+/// keep their allocations across every request the worker processes.
+struct Server::WorkerScratch {
+  Image decoded;
+  PreprocScratch preproc;
+};
 
 const char* DispatchPolicyName(DispatchPolicy policy) {
   switch (policy) {
@@ -43,23 +80,8 @@ const char* DispatchPolicyName(DispatchPolicy policy) {
 }
 
 Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
-               DecodeFn decode, std::shared_ptr<Device> accel)
-    : Server(options, pipeline_spec, AdaptDecodeFn(std::move(decode)),
-             std::move(accel)) {}
-
-Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
                DecodeIntoFn decode, std::shared_ptr<Device> accel)
-    : Server(options, pipeline_spec,
-             CompilePipelinePlan(pipeline_spec,
-                                 options.pipeline.enable_dag_opt),
-             std::move(decode), std::move(accel)) {}
-
-Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
-               PreprocPlan plan, DecodeIntoFn decode,
-               std::shared_ptr<Device> accel)
     : options_(std::move(options)),
-      pipeline_spec_(pipeline_spec),
-      plan_(std::move(plan)),
       decode_(std::move(decode)),
       admission_(static_cast<size_t>(
           std::max(options_.admission_capacity, 1))),
@@ -78,23 +100,22 @@ Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
     pipe.num_producers = std::max(
         1, static_cast<int>(std::ceil(EffectiveCores(std::max(vcpus, 1)))));
   }
-  if (!pipe.enable_threading) pipe.num_producers = 1;
   if (pipe.num_consumers <= 0) pipe.num_consumers = 1;
   if (options_.max_batch <= 0) options_.max_batch = 1;
 
-  // The plan ladder. Rung 0 is always the constructor plan (so the
-  // precompiled-plan flavour is honored); deeper rungs come from the
-  // adaptive scales. Invalid ladder configurations fall back to static
-  // serving rather than failing construction.
+  // The plan ladder. Rung 0 is always the constructor spec's plan at full
+  // decode resolution; deeper rungs come from the adaptive scales. Invalid
+  // ladder configurations fall back to static serving rather than failing
+  // construction.
   PlanRung base;
   base.name = "rung0 x1.00 d1";
-  base.spec = pipeline_spec_;
-  base.plan = plan_;
+  base.spec = pipeline_spec;
+  base.plan = CompilePipelinePlan(pipeline_spec, pipe.enable_dag_opt);
   base.fingerprint = TensorCache::HashCombine(
-      PipelinePlanFingerprint(plan_, pipeline_spec_), 1);
+      PipelinePlanFingerprint(base.plan, base.spec), 1);
   ladder_.push_back(std::move(base));
   if (options_.adaptive.ladder_scales.size() > 1) {
-    auto built = BuildPlanLadder(pipeline_spec_,
+    auto built = BuildPlanLadder(pipeline_spec,
                                  options_.adaptive.ladder_scales,
                                  pipe.enable_dag_opt);
     if (built.ok()) {
@@ -126,10 +147,7 @@ Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
         SimAccelerator::Options{}));
   }
 
-  const int shard_queue_capacity =
-      std::max(options_.shard_queue_capacity > 0 ? options_.shard_queue_capacity
-                                                 : pipe.queue_capacity,
-               1);
+  const int shard_queue_capacity = std::max(options_.shard_queue_capacity, 1);
   BufferPool::Options pool_options;
   pool_options.enable_reuse = pipe.enable_memory_reuse;
   pool_options.pin_buffers = pipe.enable_pinned;
@@ -205,11 +223,15 @@ void Server::SubmitInternal(InferenceRequest inference_request,
   Request request;
   request.request = std::move(inference_request);
   request.ctx = std::move(ctx);
-  // The Reclaim flavours leave `request` (and its promise) intact when the
-  // push is rejected, so the reply below still reaches the caller.
-  const bool accepted = options_.overload == OverloadPolicy::kShed
-                            ? admission_.TryPushReclaim(request)
-                            : admission_.PushReclaim(request);
+  // A request without bytes is never admitted: every decoder would
+  // dereference the null pointer on a worker thread. The Reclaim flavours
+  // leave `request` (and its promise) intact when the push is rejected, so
+  // the reply below still reaches the caller.
+  const bool has_bytes = request.request.bytes != nullptr;
+  const bool accepted =
+      has_bytes && (options_.overload == OverloadPolicy::kShed
+                        ? admission_.TryPushReclaim(request)
+                        : admission_.PushReclaim(request));
   if (accepted) {
     // Release pairs with the acquire loads in stats(): a submission is
     // counted before its request can complete. Global before per-class, so
@@ -227,7 +249,9 @@ void Server::SubmitInternal(InferenceRequest inference_request,
   }
   InferenceReply reply;
   reply.klass = request.request.klass;
-  if (admission_.closed()) {
+  if (!has_bytes) {
+    reply.status = Status::InvalidArgument("request has no encoded bytes");
+  } else if (admission_.closed()) {
     reply.status = Status::Cancelled("server is shut down");
   } else {
     shed_.fetch_add(1, std::memory_order_release);
@@ -270,9 +294,7 @@ Server::Shard& Server::PickShard() {
 }
 
 void Server::WorkerLoop() {
-  // Per-thread scratch: the decode image and preproc intermediates keep
-  // their allocations across every item this worker processes.
-  PipelineScratch scratch;
+  WorkerScratch scratch;
   while (auto request = admission_.Pop()) {
     const InferenceRequest& req = request->request;
     const int klass = static_cast<int>(req.klass);
@@ -307,24 +329,22 @@ void Server::WorkerLoop() {
     // never migrate between device arenas.
     Shard& shard = PickShard();
     Staged staged;
+    staged.label = req.label;
     staged.ctx = std::move(request->ctx);
     staged.klass = req.klass;
     staged.rung = rung;
-    auto sample =
-        DecodeAndStage(item, decode_, active.plan, active.spec, *shard.pool,
-                       counters_, scratch, cache_.get(), active.fingerprint);
-    if (!sample.ok()) {
+    const Status status = Stage(item, active, *shard.pool, scratch, staged);
+    if (!status.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
       class_counters_[klass].failed.fetch_add(1, std::memory_order_release);
       InferenceReply reply;
-      reply.status = sample.status();
+      reply.status = status;
       reply.label = req.label;
       reply.klass = req.klass;
       Complete(staged.ctx, reply);
       continue;
     }
-    staged.sample = std::move(sample).MoveValue();
-    const uint64_t staged_bytes = staged.sample.buffer->data.size();
+    const uint64_t staged_bytes = staged.buffer->data.size();
     shard.outstanding_bytes.fetch_add(staged_bytes,
                                       std::memory_order_relaxed);
     // Bounded per-shard queue: workers block here when this shard's batcher
@@ -338,6 +358,54 @@ void Server::WorkerLoop() {
     StoreMax(shard.depth_hwm,
              static_cast<uint64_t>(shard.queue->size()));
   }
+}
+
+Status Server::Stage(const WorkItem& item, const PlanRung& rung,
+                     BufferPool& pool, WorkerScratch& scratch,
+                     Staged& staged) {
+  TensorCache::Key key;
+  if (cache_ != nullptr) {
+    key.content_hash = WorkItemContentHash(item);
+    key.plan_fingerprint = rung.fingerprint;
+    if (auto cached = cache_->Get(key)) {
+      // Repeated content: stage the cached tensor's bytes directly — no
+      // decode, no preprocessing, no copy.
+      staged.buffer = std::move(cached->buffer);
+      staged.cache_hit = true;
+      return Status::OK();
+    }
+  }
+
+  Stopwatch sw;
+  Status decoded = decode_(item, &scratch.decoded);
+  decode_us_.fetch_add(static_cast<uint64_t>(sw.ElapsedMicros()));
+  SMOL_RETURN_IF_ERROR(decoded);
+
+  sw.Restart();
+  // Size the staging buffer from the plan's output geometry, then let the
+  // plan's terminal op write the tensor straight into it (zero-copy).
+  SMOL_ASSIGN_OR_RETURN(
+      const size_t floats,
+      PlanOutputFloats(rung.plan, rung.spec, scratch.decoded.width(),
+                       scratch.decoded.height(), scratch.decoded.channels()));
+  std::unique_ptr<PooledBuffer> buffer = pool.Get(floats * sizeof(float));
+  SMOL_ASSIGN_OR_RETURN(
+      const size_t written,
+      ExecutePlanInto(rung.plan, rung.spec, scratch.decoded, scratch.preproc,
+                      reinterpret_cast<float*>(buffer->data.data()), floats));
+  preproc_us_.fetch_add(static_cast<uint64_t>(sw.ElapsedMicros()));
+  if (written != floats) {
+    return Status::Internal("plan output size mismatch");
+  }
+
+  staged.buffer = SharePooled(std::move(buffer), &pool);
+  if (cache_ != nullptr) {
+    CachedTensor value;
+    value.buffer = staged.buffer;  // second reference; bytes are shared
+    value.float_count = floats;
+    cache_->Put(key, std::move(value));
+  }
+  return Status::OK();
 }
 
 void Server::BatcherLoop(Shard& shard) {
@@ -361,24 +429,20 @@ void Server::BatcherLoop(Shard& shard) {
 
 void Server::FlushBatch(Shard& shard, std::vector<Staged>& batch) {
   if (batch.empty()) return;
-  // Capture per-request metadata before the samples are moved into the
-  // submission: the seed read staged.sample.label *after* the move below,
-  // echoing 0 (moved-from) labels back to callers.
-  struct Meta {
-    int label;
-    bool cache_hit;
-  };
-  std::vector<Meta> meta;
-  meta.reserve(batch.size());
-  std::vector<StagedSample> samples;
-  samples.reserve(batch.size());
   uint64_t batch_bytes = 0;
-  for (auto& staged : batch) {
-    meta.push_back({staged.sample.label, staged.sample.cache_hit});
-    batch_bytes += staged.sample.buffer->data.size();
-    samples.push_back(std::move(staged.sample));
+  bool pinned = true;
+  for (const Staged& staged : batch) {
+    batch_bytes += staged.buffer->data.size();
+    pinned = pinned && staged.buffer->pinned;
   }
-  const int batch_size = SubmitStagedBatch(samples, *shard.device);
+  const int batch_size = static_cast<int>(batch.size());
+  // One scatter-gather descriptor per pooled sample buffer: the batch is
+  // gathered by the DMA engine, not copied into a contiguous staging area.
+  shard.device->ExecuteBatch(batch_size, batch_bytes, pinned,
+                             /*chunks=*/batch_size);
+  // Dropping the references recycles each buffer to its pool — unless the
+  // tensor cache still holds it — before any reply can trigger new work.
+  for (Staged& staged : batch) staged.buffer.reset();
   // The batch is through the device: it no longer counts as shard load.
   shard.outstanding_bytes.fetch_sub(batch_bytes, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -388,13 +452,12 @@ void Server::FlushBatch(Shard& shard, std::vector<Staged>& batch) {
            std::chrono::duration_cast<std::chrono::nanoseconds>(now -
                                                                 start_time_)
                .count());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto& staged = batch[i];
+  for (Staged& staged : batch) {
     ClassCounters& cc = class_counters_[static_cast<int>(staged.klass)];
     InferenceReply reply;
     reply.status = Status::OK();
-    reply.label = meta[i].label;
-    reply.cache_hit = meta[i].cache_hit;
+    reply.label = staged.label;
+    reply.cache_hit = staged.cache_hit;
     reply.batch_size = batch_size;
     reply.shard = shard.index;
     reply.klass = staged.klass;
@@ -540,12 +603,9 @@ ServerStats Server::stats() const {
           ? static_cast<double>(s.completed) / s.active_seconds
           : 0.0;
   s.decode_seconds =
-      static_cast<double>(counters_.decode_us.load(std::memory_order_relaxed)) *
-      1e-6;
+      static_cast<double>(decode_us_.load(std::memory_order_relaxed)) * 1e-6;
   s.preprocess_seconds =
-      static_cast<double>(
-          counters_.preproc_us.load(std::memory_order_relaxed)) *
-      1e-6;
+      static_cast<double>(preproc_us_.load(std::memory_order_relaxed)) * 1e-6;
   // Roll the per-shard views up into the fleet-wide ones: histograms merge
   // bucket-wise, pool and device counters sum (max_batch takes the max).
   LatencyHistogram merged;
@@ -569,6 +629,29 @@ ServerStats Server::stats() const {
   }
   if (cache_ != nullptr) s.tensor_cache = cache_->stats();
   return s;
+}
+
+Result<ServerStats> RunToCompletion(
+    Server& server, const std::vector<InferenceRequest>& requests) {
+  if (requests.empty()) return Status::InvalidArgument("no requests");
+  std::mutex error_mutex;
+  Status first_error;  // guarded by error_mutex until Shutdown() returns
+  for (const InferenceRequest& request : requests) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error.ok()) break;
+    }
+    server.Submit(request, [&](const InferenceReply& reply) {
+      if (reply.ok()) return;
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (first_error.ok()) first_error = reply.status;
+    });
+  }
+  // Drains every accepted request and joins the threads its callbacks run
+  // on, so none of them touches these locals afterwards.
+  server.Shutdown();
+  if (!first_error.ok()) return first_error;
+  return server.stats();
 }
 
 }  // namespace smol

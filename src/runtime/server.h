@@ -1,11 +1,11 @@
 // Streaming serving runtime: shared admission, dynamic batching,
 // multi-device sharding, and load-adaptive plan selection.
 //
-// Where the batch Engine (runtime/engine.h) runs one fixed work list to
-// completion, the Server is persistent: callers Submit() individual
-// InferenceRequests (encoded image + QoS class + optional deadline) and
-// receive futures or callbacks. Inside, the §6.1 pipeline generalizes to a
-// fleet of M devices behind one front end —
+// The Server is the runtime's one front door and is persistent: callers
+// Submit() individual InferenceRequests (encoded image + QoS class + optional
+// deadline) and receive futures or callbacks; RunToCompletion() serves a
+// fixed request list as one batch run. Inside, the §6.1 pipeline generalizes
+// to a fleet of M devices behind one front end —
 //
 //   Submit -> [admission queue] -> workers: decode + preprocess at the
 //             request class's ACTIVE LADDER RUNG
@@ -46,16 +46,19 @@
 // non-adaptive Server is the degenerate one-rung ladder with no controller.
 //
 // Shutdown() stops admission, drains every accepted request, and joins the
-// worker threads; the destructor calls it. Every accepted request is
-// completed exactly once — by result, decode error, deadline expiry, or
-// shed status.
+// worker threads; the destructor calls it. Every request is completed exactly
+// once — by result, decode error, deadline expiry, shed status, or (never
+// admitted) a null-bytes or post-shutdown rejection.
 #ifndef SMOL_RUNTIME_SERVER_H_
 #define SMOL_RUNTIME_SERVER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -63,12 +66,14 @@
 
 #include "src/hw/device.h"
 #include "src/hw/sim_accelerator.h"
-#include "src/runtime/engine.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/plan_controller.h"
+#include "src/util/buffer_pool.h"
 #include "src/util/latency_histogram.h"
 #include "src/util/mpmc_queue.h"
+#include "src/util/result.h"
 #include "src/util/status.h"
+#include "src/util/tensor_cache.h"
 
 namespace smol {
 
@@ -88,6 +93,28 @@ enum class DispatchPolicy {
 
 const char* DispatchPolicyName(DispatchPolicy policy);
 
+/// \brief Pipeline shape: the Fig. 7/8 toggles + the worker counts.
+struct PipelineOptions {
+  bool enable_memory_reuse = true;  ///< buffer-pool recycling
+  bool enable_pinned = true;        ///< pinned staging buffers
+  bool enable_dag_opt = true;       ///< optimized preprocessing DAG
+
+  /// Decode + preprocess workers; 0 = EffectiveCores(hw concurrency) (§8.1).
+  /// The Fig. 7/8 threading lesion is num_producers = 1.
+  int num_producers = 0;
+  int num_consumers = 2;  ///< per-shard batcher threads (CUDA streams)
+};
+
+/// \brief Content-addressed tensor-cache configuration
+/// (util/tensor_cache.h): repeated content skips decode + preprocessing and
+/// stages the cached bytes with no copy. Off by default — it only pays for
+/// workloads with repeated content, and it trades memory for compute.
+struct CacheOptions {
+  bool enable_tensor_cache = false;         ///< master switch
+  size_t tensor_cache_bytes = 64ull << 20;  ///< cache byte budget
+  int tensor_cache_shards = 8;              ///< cache concurrency sharding
+};
+
 /// \brief Load-adaptive plan selection (runtime/plan_controller.h).
 struct AdaptiveOptions {
   /// Geometry scales of the plan ladder, starting at 1.0 and strictly
@@ -101,8 +128,7 @@ struct AdaptiveOptions {
 
 /// \brief Server configuration: pipeline shape + serving knobs.
 struct ServerOptions {
-  /// Pipeline toggles and thread/queue sizing, shared with the batch engine.
-  /// (batch_size is ignored here; max_batch below is the batcher's cap.)
+  /// Pipeline toggles and worker counts.
   PipelineOptions pipeline;
   /// Tensor-cache configuration. Cached tensors are keyed per ladder rung,
   /// so the cache composes with adaptive serving.
@@ -119,8 +145,7 @@ struct ServerOptions {
   /// accelerator passed to the constructor (the M=1 degenerate case).
   std::vector<std::shared_ptr<Device>> devices;
   DispatchPolicy dispatch = DispatchPolicy::kLeastLoaded;
-  /// Per-shard staged-queue bound; 0 = pipeline.queue_capacity.
-  int shard_queue_capacity = 0;
+  int shard_queue_capacity = 64;  ///< per-shard bounded staged queue
 };
 
 /// \brief One typed serving request: the encoded image plus its QoS contract.
@@ -128,7 +153,8 @@ struct ServerOptions {
 /// The caller owns the encoded bytes and must keep them alive until the
 /// reply is delivered (future ready / callback fired).
 struct InferenceRequest {
-  const std::vector<uint8_t>* bytes = nullptr;  ///< encoded stream
+  /// Encoded stream; a null pointer is rejected with InvalidArgument.
+  const std::vector<uint8_t>* bytes = nullptr;
   int label = 0;  ///< caller tag, echoed through the pipeline
   /// Optional ROI for partial decoding (empty = full decode). ROI requests
   /// are never resolution-degraded (the codec cannot combine the two).
@@ -139,18 +165,6 @@ struct InferenceRequest {
   /// Requests still queued past this point complete with DeadlineExceeded
   /// instead of occupying a device slot.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-
-  /// Wraps a legacy WorkItem (deprecated Submit surface) as a request.
-  static InferenceRequest FromWorkItem(
-      const WorkItem& item,
-      RequestClass klass = RequestClass::kBestAccuracy) {
-    InferenceRequest request;
-    request.bytes = item.bytes;
-    request.label = item.label;
-    request.roi = item.roi;
-    request.klass = klass;
-    return request;
-  }
 };
 
 /// \brief Completion of one Submit()ed request.
@@ -243,19 +257,11 @@ class Server {
 
   /// Starts the worker/batcher threads immediately; compiles the
   /// preprocessing plan (and, with adaptive serving on, the whole ladder)
-  /// from \p pipeline_spec (§6.2). \p accel is the fleet when
-  /// options.devices is empty; ignored (may be null) otherwise.
-  Server(ServerOptions options, PipelineSpec pipeline_spec, DecodeFn decode,
-         std::shared_ptr<Device> accel);
-
-  /// Allocation-free decode flavour (emits into a per-worker scratch
-  /// image; e.g. wraps SjpgDecodeInto).
+  /// from \p pipeline_spec (§6.2). \p decode emits into a per-worker scratch
+  /// image (e.g. wraps SjpgDecodeInto; AdaptDecodeFn wraps a value-returning
+  /// decoder). \p accel is the fleet when options.devices is empty; ignored
+  /// (may be null) otherwise.
   Server(ServerOptions options, PipelineSpec pipeline_spec,
-         DecodeIntoFn decode, std::shared_ptr<Device> accel);
-
-  /// Same, but reuses \p plan as the ladder's rung 0 instead of recompiling
-  /// (the Engine wrapper passes the plan it already compiled).
-  Server(ServerOptions options, PipelineSpec pipeline_spec, PreprocPlan plan,
          DecodeIntoFn decode, std::shared_ptr<Device> accel);
 
   ~Server();
@@ -267,20 +273,9 @@ class Server {
   /// and deadline-expired requests carry a non-OK status in the reply).
   std::future<InferenceReply> Submit(InferenceRequest request);
 
-  /// Callback flavour: \p callback fires exactly once, on a worker thread.
+  /// Callback flavour: \p callback fires exactly once, on a worker thread
+  /// (or on the caller's thread when the request is rejected at Submit).
   void Submit(InferenceRequest request, Callback callback);
-
-  /// \deprecated Pre-PR-8 raw-WorkItem surface; forwards to the
-  /// InferenceRequest overloads as RequestClass::kBestAccuracy. Will be
-  /// removed one release after the InferenceRequest API; migrate via
-  /// InferenceRequest::FromWorkItem.
-  std::future<InferenceReply> Submit(WorkItem item) {
-    return Submit(InferenceRequest::FromWorkItem(item));
-  }
-  /// \deprecated See Submit(WorkItem).
-  void Submit(WorkItem item, Callback callback) {
-    Submit(InferenceRequest::FromWorkItem(item), std::move(callback));
-  }
 
   /// Stops accepting work, drains every accepted request, joins the
   /// workers. Idempotent; called by the destructor.
@@ -290,7 +285,7 @@ class Server {
   ServerStats stats() const;
 
   /// The preprocessing plan compiled at construction (the ladder's rung 0).
-  const PreprocPlan& plan() const { return plan_; }
+  const PreprocPlan& plan() const { return ladder_.front().plan; }
 
   /// The precompiled plan ladder; size 1 unless adaptive serving is on.
   const std::vector<PlanRung>& ladder() const { return ladder_; }
@@ -318,12 +313,18 @@ class Server {
     InferenceRequest request;
     RequestContext ctx;
   };
+  /// A preprocessed request waiting in a shard queue for its batch.
   struct Staged {
-    StagedSample sample;
+    /// The f32 CHW tensor in a pooled (possibly pinned) buffer, shared with
+    /// the tensor cache when enabled; the last reference recycles it.
+    std::shared_ptr<const PooledBuffer> buffer;
+    bool cache_hit = false;  ///< staged from the tensor cache
+    int label = 0;
     RequestContext ctx;
     RequestClass klass = RequestClass::kBestAccuracy;
     int rung = 0;
   };
+  struct WorkerScratch;  // per-worker decode + preprocess scratch
 
   /// One device shard: private staging pool, bounded staged queue, dynamic
   /// batcher thread(s), and the counters dispatch + stats read.
@@ -362,15 +363,18 @@ class Server {
   static void Complete(RequestContext& ctx, InferenceReply reply);
   Shard& PickShard();
   void WorkerLoop();
+  /// Decodes and preprocesses \p item at \p rung straight into a buffer
+  /// from \p pool, or stages the cached tensor for repeated content; sets
+  /// staged.buffer and staged.cache_hit.
+  Status Stage(const WorkItem& item, const PlanRung& rung, BufferPool& pool,
+               WorkerScratch& scratch, Staged& staged);
   void BatcherLoop(Shard& shard);
   void FlushBatch(Shard& shard, std::vector<Staged>& batch);
   void ControllerLoop();
 
   ServerOptions options_;
-  PipelineSpec pipeline_spec_;
-  PreprocPlan plan_;
   DecodeIntoFn decode_;
-  /// The precompiled rung ladder; ladder_[0] is (plan_, pipeline_spec_).
+  /// The precompiled rung ladder; ladder_[0] is the constructor spec's plan.
   std::vector<PlanRung> ladder_;
   std::unique_ptr<PlanController> controller_;  // null = static serving
 
@@ -382,7 +386,8 @@ class Server {
   MpmcQueue<Request> admission_;
   std::vector<std::thread> workers_;  // decode + preprocess + dispatch
 
-  PipelineCounters counters_;
+  std::atomic<uint64_t> decode_us_{0};   // summed across workers
+  std::atomic<uint64_t> preproc_us_{0};  // summed across workers
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> shed_{0};
@@ -408,6 +413,15 @@ class Server {
   std::mutex shutdown_mutex_;
   bool stopped_ = false;  // guarded by shutdown_mutex_
 };
+
+/// Serves \p requests as one batch run: submits them in order, stops
+/// submitting after the first failed reply, calls server.Shutdown() (which
+/// drains every accepted request) and returns that failure or the drained
+/// stats. An empty list is rejected before anything is submitted. For
+/// full batches, give the server a batch window longer than the run and
+/// kBlock admission; Shutdown() flushes the final partial batch.
+Result<ServerStats> RunToCompletion(
+    Server& server, const std::vector<InferenceRequest>& requests);
 
 }  // namespace smol
 

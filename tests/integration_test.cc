@@ -1,5 +1,5 @@
 // Integration tests across module boundaries: the full paths a deployment
-// exercises — dataset -> codec -> preprocessing plan -> runtime engine ->
+// exercises — dataset -> codec -> preprocessing plan -> serving runtime ->
 // optimizer -> analytics — with real data flowing end to end.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include "src/dnn/trainer.h"
 #include "src/hw/throughput_model.h"
 #include "src/preproc/graph.h"
-#include "src/runtime/engine.h"
+#include "src/runtime/server.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -57,23 +57,23 @@ TEST(IntegrationTest, StoredImageToDnnInputPipeline) {
   }
 }
 
-// --- Engine over a real encoded dataset with ROI decoding --------------------
+// --- Server batch run over a real encoded dataset with ROI decoding ----------
 
-TEST(IntegrationTest, EngineRunsDatasetWithRoiDecoding) {
+TEST(IntegrationTest, BatchRunServesDatasetWithRoiDecoding) {
   auto spec = FindImageDataset("animals-10").MoveValue();
   spec.train_size = 2;
   spec.test_size = 96;
   ASSERT_OK_AND_ASSIGN(ImageDataset ds, ImageDataset::Generate(spec));
   ASSERT_OK_AND_ASSIGN(auto stored,
                        ds.EncodeTestSet(StorageFormat::kFullSjpg));
-  std::vector<WorkItem> items;
+  std::vector<InferenceRequest> requests;
   const Roi roi = Roi::CenterCrop(spec.full_width, spec.full_height, 32, 32);
   for (const auto& s : stored) {
-    WorkItem item;
-    item.bytes = &s.bytes;
-    item.label = s.label;
-    item.roi = roi;  // §6.4: decode only the central crop
-    items.push_back(item);
+    InferenceRequest request;
+    request.bytes = &s.bytes;
+    request.label = s.label;
+    request.roi = roi;  // §6.4: decode only the central crop
+    requests.push_back(request);
   }
   PipelineSpec pspec;
   pspec.input_width = 32;
@@ -85,19 +85,25 @@ TEST(IntegrationTest, EngineRunsDatasetWithRoiDecoding) {
   aopts.dnn_throughput_ims = 50000.0;
   auto accel = std::make_shared<SimAccelerator>(aopts);
   // A small queue + small batches force buffers to cycle mid-run so the
-  // reuse assertion below is deterministic.
-  EngineOptions eopts;
-  eopts.queue_capacity = 8;
-  eopts.batch_size = 4;
-  Engine engine(eopts, pspec,
-                [](const WorkItem& item) {
-                  SjpgDecodeOptions opts;
-                  opts.roi = item.roi;
-                  return SjpgDecode(*item.bytes, opts);
+  // reuse assertion below is deterministic: at most 8 queued + 2 staging
+  // + 2 * 4 batched buffers are live at once, far below the 96 images.
+  ServerOptions opts;
+  opts.pipeline.num_producers = 2;
+  opts.pipeline.num_consumers = 2;
+  opts.shard_queue_capacity = 8;
+  opts.max_batch = 4;
+  opts.max_queue_delay_us = 1e9;
+  opts.admission_capacity = 8;
+  opts.overload = OverloadPolicy::kBlock;
+  Server server(opts, pspec,
+                [](const WorkItem& item, Image* out) {
+                  SjpgDecodeOptions decode;
+                  decode.roi = item.roi;
+                  return SjpgDecodeInto(*item.bytes, decode, out);
                 },
                 accel);
-  ASSERT_OK_AND_ASSIGN(EngineStats stats, engine.Run(items));
-  EXPECT_EQ(stats.images, items.size());
+  ASSERT_OK_AND_ASSIGN(ServerStats stats, RunToCompletion(server, requests));
+  EXPECT_EQ(stats.completed, requests.size());
   EXPECT_GT(stats.buffer_stats.reuses, 0u);
 }
 
@@ -191,10 +197,10 @@ TEST(IntegrationTest, SavedModelServesInCascade) {
   EXPECT_NEAR(calib_a.pass_through_rate, calib_b.pass_through_rate, 1e-9);
 }
 
-// --- Cost model consistency with the live engine ------------------------------
+// --- Cost model consistency with the live runtime ----------------------------
 
-TEST(IntegrationTest, MinModelPredictsEngineThroughputDirection) {
-  // Two engine runs against a slow vs fast accelerator: the min cost model
+TEST(IntegrationTest, MinModelPredictsServedThroughputDirection) {
+  // Two batch runs against a slow vs fast accelerator: the min cost model
   // must predict which run is faster, from stage rates measured in isolation.
   auto spec = FindImageDataset("bike-bird").MoveValue();
   spec.train_size = 2;
@@ -202,11 +208,11 @@ TEST(IntegrationTest, MinModelPredictsEngineThroughputDirection) {
   ASSERT_OK_AND_ASSIGN(ImageDataset ds, ImageDataset::Generate(spec));
   ASSERT_OK_AND_ASSIGN(auto stored,
                        ds.EncodeTestSet(StorageFormat::kFullSjpg));
-  std::vector<WorkItem> items;
+  std::vector<InferenceRequest> requests;
   for (const auto& s : stored) {
-    WorkItem item;
-    item.bytes = &s.bytes;
-    items.push_back(item);
+    InferenceRequest request;
+    request.bytes = &s.bytes;
+    requests.push_back(request);
   }
   PipelineSpec pspec;
   pspec.input_width = spec.full_width;
@@ -218,10 +224,17 @@ TEST(IntegrationTest, MinModelPredictsEngineThroughputDirection) {
     SimAccelerator::Options aopts;
     aopts.dnn_throughput_ims = accel_ims;
     auto accel = std::make_shared<SimAccelerator>(aopts);
-    Engine engine(EngineOptions{}, pspec,
-                  [](const WorkItem& item) { return SjpgDecode(*item.bytes); },
+    ServerOptions opts;
+    opts.max_batch = 16;
+    opts.max_queue_delay_us = 1e9;  // full batches; Shutdown() flushes
+    opts.admission_capacity = 64;
+    opts.overload = OverloadPolicy::kBlock;
+    Server server(opts, pspec,
+                  [](const WorkItem& item, Image* out) {
+                    return SjpgDecodeInto(*item.bytes, {}, out);
+                  },
                   accel);
-    auto stats = engine.Run(items);
+    auto stats = RunToCompletion(server, requests);
     return stats.ok() ? stats->throughput_ims : 0.0;
   };
   const double slow = run_with(120.0);   // decisively DNN-bound
