@@ -48,6 +48,21 @@ void BM_SjpgDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_SjpgDecode)->Arg(64)->Arg(128)->Arg(256);
 
+// Reduced-resolution decode at denominator 2: the serving plan ladder's
+// bottom rung, where entropy decoding is most of the cost.
+void BM_SjpgDecodeScaled(benchmark::State& state) {
+  const Image img = BenchImage(static_cast<int>(state.range(0)));
+  const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();
+  SjpgDecodeOptions opts;
+  opts.scale_denom = 2;
+  for (auto _ : state) {
+    auto decoded = SjpgDecode(bytes, opts);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SjpgDecodeScaled)->Arg(128);
+
 void BM_SjpgRoiDecode(benchmark::State& state) {
   const Image img = BenchImage(256);
   const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();

@@ -81,17 +81,6 @@ class BitReader {
     return true;
   }
 
-  /// Reads a single bit; -1 on end of stream (hot path, no Status).
-  int ReadBit() {
-    if (byte_pos_ >= size_) return -1;
-    const int bit = (data_[byte_pos_] >> (7 - bit_pos_)) & 1;
-    if (++bit_pos_ == 8) {
-      bit_pos_ = 0;
-      ++byte_pos_;
-    }
-    return bit;
-  }
-
   /// Skips to the next byte boundary.
   void AlignToByte() {
     if (bit_pos_ != 0) {
@@ -109,6 +98,19 @@ class BitReader {
 
   size_t byte_position() const { return byte_pos_; }
   bool AtEnd() const { return byte_pos_ >= size_; }
+
+  /// The whole stream and the absolute bit position within it, for decoders
+  /// that run their own bit window (see DecodeBlock) and hand the position
+  /// back with SetBitPosition.
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+  size_t bit_position() const { return byte_pos_ * 8 + bit_pos_; }
+
+  /// Moves to absolute bit \p pos, which must be <= size() * 8.
+  void SetBitPosition(size_t pos) {
+    byte_pos_ = pos >> 3;
+    bit_pos_ = static_cast<int>(pos & 7);
+  }
 
  private:
   const uint8_t* data_;

@@ -110,22 +110,142 @@ void EncodeBlock(const CoeffBlock& block, int* dc_pred,
   if (run > 0) ac_table.EncodeSymbol(writer, 0x00);
 }
 
-Status DecodeBlock(BitReader* reader, const HuffmanTable& dc_table,
-                   const HuffmanTable& ac_table, int* dc_pred,
-                   CoeffBlock* block) {
+namespace {
+
+// MSB-first 64-bit bit window over a BitReader's stream. It refills whole
+// bytes and never reads past the stream; past its end the window shifts in
+// zeros and its bit count goes negative, so Overrun() is exactly "a consumed
+// bit lies past the end" (where BitReader::SkipBits fails).
+class BitWindow {
+ public:
+  explicit BitWindow(const BitReader& reader)
+      : begin_(reader.data()), end_(reader.data() + reader.size()) {
+    const size_t pos = reader.bit_position();
+    next_ = begin_ + (pos >> 3);
+    Refill();
+    Consume(static_cast<int>(pos & 7));
+  }
+
+  // Guarantees 32 bits to Peek (zeros past the end of the stream), enough
+  // for a 16-bit code plus 15 value bits.
+  void Refill() {
+    if (count_ >= 32) return;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    if (end_ - next_ >= 8) {
+      // One unaligned load. The bytes that do not fit whole are loaded
+      // again next time, OR-ing the same bits into the same place.
+      uint64_t word;
+      std::memcpy(&word, next_, 8);
+      bits_ |= __builtin_bswap64(word) >> count_;
+      next_ += (63 - count_) >> 3;
+      count_ |= 56;
+      return;
+    }
+#endif
+    while (count_ <= 56 && next_ < end_) {
+      bits_ |= static_cast<uint64_t>(*next_++) << (56 - count_);
+      count_ += 8;
+    }
+  }
+
+  // The next n (1..32) bits, MSB-first.
+  uint32_t Peek(int n) const { return static_cast<uint32_t>(bits_ >> (64 - n)); }
+
+  void Consume(int n) {
+    bits_ <<= n;
+    count_ -= n;
+  }
+
+  bool Overrun() const { return count_ < 0; }
+
+  // Absolute position of the next unconsumed bit (valid unless Overrun()).
+  size_t BitPosition() const {
+    return static_cast<size_t>(next_ - begin_) * 8 -
+           static_cast<size_t>(count_);
+  }
+
+ private:
+  const uint8_t* begin_;
+  const uint8_t* end_;
+  const uint8_t* next_;  // next byte to load
+  uint64_t bits_ = 0;    // unconsumed bits, MSB-aligned
+  int count_ = 0;        // loaded bits not yet consumed
+};
+
+Status Truncated() { return Status::Corruption("bitstream truncated"); }
+
+}  // namespace
+
+BlockDecodeTables::BlockDecodeTables(const HuffmanTable& dc,
+                                     const HuffmanTable& ac)
+    : dc_(&dc), ac_(&ac) {
+  std::memset(fast_ac_, 0, sizeof(fast_ac_));
+  // Walk the AC LUT one code at a time: a code of length len owns a span of
+  // 2^(kHuffmanLutBits - len) prefixes, and when its value bits fit too,
+  // each value owns an equal sub-span of it.
+  uint32_t prefix = 0;
+  while (prefix < (1u << kHuffmanLutBits)) {
+    const uint32_t entry = ac.LutEntry(prefix);
+    if (entry == 0) {  // no whole code in this prefix
+      ++prefix;
+      continue;
+    }
+    const int code_len = static_cast<int>(entry & 0xFF);
+    const int sym = static_cast<int>(entry >> 8);
+    const int size = sym & 0x0F;
+    const uint32_t span_end = prefix + (1u << (kHuffmanLutBits - code_len));
+    // EOB, ZRL and other size-0 symbols, symbols outside the run/size byte
+    // alphabet, and values whose bits run past the prefix keep len == 0.
+    if (size == 0 || sym > 0xFF || code_len + size > kHuffmanLutBits) {
+      prefix = span_end;
+      continue;
+    }
+    const uint32_t per_value = 1u << (kHuffmanLutBits - code_len - size);
+    for (uint32_t bits = 0; prefix < span_end; ++bits) {
+      const FastAc fast{
+          static_cast<int16_t>(DecodeValueBits(bits, size)),
+          static_cast<uint8_t>(sym >> 4),
+          static_cast<uint8_t>(code_len + size)};
+      for (uint32_t k = 0; k < per_value; ++k) fast_ac_[prefix++] = fast;
+    }
+  }
+}
+
+Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
+                   int* dc_pred, CoeffBlock* block) {
   std::memset(block->zz, 0, sizeof(block->zz));
-  SMOL_ASSIGN_OR_RETURN(int dc_size, dc_table.DecodeSymbol(reader));
+  BitWindow window(*reader);
+  const uint32_t dc_entry = tables.dc_->Lookup(window.Peek(kMaxHuffmanBits));
+  if (dc_entry == 0) return Status::Corruption("invalid Huffman prefix");
+  window.Consume(static_cast<int>(dc_entry & 0xFF));
+  const int dc_size = static_cast<int>(dc_entry >> 8);
   if (dc_size > 15) return Status::Corruption("bad DC size");
   int diff = 0;
   if (dc_size > 0) {
-    SMOL_ASSIGN_OR_RETURN(uint32_t bits, reader->ReadBits(dc_size));
-    diff = DecodeValueBits(bits, dc_size);
+    diff = DecodeValueBits(window.Peek(dc_size), dc_size);
+    window.Consume(dc_size);
   }
+  if (window.Overrun()) return Truncated();
   *dc_pred += diff;
   block->zz[0] = static_cast<int16_t>(*dc_pred);
   int i = 1;
   while (i < 64) {
-    SMOL_ASSIGN_OR_RETURN(int sym, ac_table.DecodeSymbol(reader));
+    window.Refill();
+    const BlockDecodeTables::FastAc fast =
+        tables.fast_ac_[window.Peek(kHuffmanLutBits)];
+    if (fast.len != 0) {
+      window.Consume(fast.len);
+      i += fast.run;
+      if (i >= 64) return Status::Corruption("AC index overflow");
+      block->zz[i++] = fast.value;
+      if (window.Overrun()) return Truncated();
+      continue;
+    }
+    const uint32_t entry = tables.ac_->Lookup(window.Peek(kMaxHuffmanBits));
+    if (entry == 0) return Status::Corruption("invalid Huffman prefix");
+    window.Consume(static_cast<int>(entry & 0xFF));
+    if (window.Overrun()) return Truncated();
+    const int sym = static_cast<int>(entry >> 8);
     if (sym == 0x00) break;  // EOB
     if (sym == 0xF0) {       // ZRL
       i += 16;
@@ -136,10 +256,12 @@ Status DecodeBlock(BitReader* reader, const HuffmanTable& dc_table,
     if (size == 0) return Status::Corruption("bad AC symbol");
     i += run;
     if (i >= 64) return Status::Corruption("AC index overflow");
-    SMOL_ASSIGN_OR_RETURN(uint32_t bits, reader->ReadBits(size));
-    block->zz[i] = static_cast<int16_t>(DecodeValueBits(bits, size));
-    ++i;
+    block->zz[i++] = static_cast<int16_t>(
+        DecodeValueBits(window.Peek(size), size));
+    window.Consume(size);
+    if (window.Overrun()) return Truncated();
   }
+  reader->SetBitPosition(window.BitPosition());
   return Status::OK();
 }
 

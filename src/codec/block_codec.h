@@ -48,10 +48,43 @@ void EncodeBlock(const CoeffBlock& block, int* dc_pred,
                  const HuffmanTable& dc_table, const HuffmanTable& ac_table,
                  BitWriter* writer);
 
-/// Entropy-decodes one block into zig-zag coefficients.
-Status DecodeBlock(BitReader* reader, const HuffmanTable& dc_table,
-                   const HuffmanTable& ac_table, int* dc_pred,
-                   CoeffBlock* block);
+/// \brief Decode-side tables for one component class (luma or chroma).
+///
+/// Borrows the DC and AC Huffman tables (they must outlive this) and builds
+/// a fast-AC table from the AC table's LUT: per kHuffmanLutBits-bit stream
+/// prefix, a whole AC coefficient -- run/size code plus value bits -- when
+/// both fit the prefix. Build it once per table set (per SJPG decode, per
+/// SV264 frame) on the stack: it is ~4 KB and allocates nothing.
+class BlockDecodeTables {
+ public:
+  BlockDecodeTables(const HuffmanTable& dc, const HuffmanTable& ac);
+
+ private:
+  friend Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
+                            int* dc_pred, CoeffBlock* block);
+
+  // len == 0: the prefix needs the Huffman LUT or canonical scan instead
+  // (EOB, ZRL, codes whose value bits do not fit, invalid prefixes).
+  struct FastAc {
+    int16_t value;  // decoded coefficient
+    uint8_t run;    // zero run before it
+    uint8_t len;    // code + value bits consumed
+  };
+
+  const HuffmanTable* dc_;
+  const HuffmanTable* ac_;
+  FastAc fast_ac_[1u << kHuffmanLutBits];
+};
+
+/// Entropy-decodes one block into zig-zag coefficients, reading from the
+/// reader's position and leaving it after the block. Decodes from a 64-bit
+/// bit window: most AC coefficients take one fast-AC probe, DC and the rest
+/// one Huffman LUT probe (or the canonical scan for codes over
+/// kHuffmanLutBits). Corruption on a consumed bit past the end of the
+/// stream, an invalid prefix, DC size > 15, AC size 0 or AC index >= 64;
+/// the reader position is then unspecified.
+Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
+                   int* dc_pred, CoeffBlock* block);
 
 }  // namespace smol
 

@@ -238,30 +238,30 @@ void HuffmanTable::EncodeSymbol(BitWriter* writer, int symbol) const {
 }
 
 Result<int> HuffmanTable::DecodeSymbol(BitReader* reader) const {
-  // Fast path: one LUT probe resolves any code of up to kHuffmanLutBits
-  // bits (the peek zero-pads past end-of-stream; SkipBits rejects a match
-  // whose real bits run past the end, so truncation still surfaces).
-  const uint32_t entry = lut_[reader->PeekBits(kHuffmanLutBits)];
-  if (entry != 0) {
-    if (!reader->SkipBits(static_cast<int>(entry & 0xFF))) {
-      return Status::Corruption("bitstream truncated in Huffman");
-    }
-    return static_cast<int>(entry >> 8);
+  // The peek zero-pads past end-of-stream; SkipBits rejects a match whose
+  // real bits run past the end, so truncation still surfaces.
+  const uint32_t entry = Lookup(reader->PeekBits(kMaxHuffmanBits));
+  if (entry == 0) return Status::Corruption("invalid Huffman prefix");
+  if (!reader->SkipBits(static_cast<int>(entry & 0xFF))) {
+    return Status::Corruption("bitstream truncated in Huffman");
   }
+  return static_cast<int>(entry >> 8);
+}
+
+uint32_t HuffmanTable::LookupLong(uint32_t bits) const {
   // Canonical decode: extend the code one bit at a time; at each length,
-  // check whether it falls within [first_code, first_code + count).
-  int32_t code = 0;
-  for (int len = 1; len <= kMaxHuffmanBits; ++len) {
-    const int bit = reader->ReadBit();
-    if (bit < 0) return Status::Corruption("bitstream truncated in Huffman");
-    code = (code << 1) | bit;
+  // check whether it falls within [first_code, first_code + count). Codes
+  // that fit the LUT never reach here, so the scan starts past its width.
+  for (int len = kHuffmanLutBits + 1; len <= kMaxHuffmanBits; ++len) {
+    const int32_t code = static_cast<int32_t>(bits >> (kMaxHuffmanBits - len));
     if (first_code_[len] >= 0 && code >= first_code_[len] &&
         code < first_code_[len] + count_[len]) {
-      return static_cast<int>(
-          sorted_symbols_[first_index_[len] + (code - first_code_[len])]);
+      const uint32_t sym =
+          sorted_symbols_[first_index_[len] + (code - first_code_[len])];
+      return (sym << 8) | static_cast<uint32_t>(len);
     }
   }
-  return Status::Corruption("invalid Huffman prefix");
+  return 0;
 }
 
 }  // namespace smol

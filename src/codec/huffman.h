@@ -18,8 +18,7 @@ namespace smol {
 inline constexpr int kMaxHuffmanBits = 16;
 
 /// Lookahead width of the decode LUT: codes up to this length decode with a
-/// single table probe; longer (rare) codes fall back to the canonical
-/// bit-at-a-time scan.
+/// single table probe; longer (rare) codes fall back to the canonical scan.
 inline constexpr int kHuffmanLutBits = 10;
 
 /// \brief Canonical Huffman code table for a byte-symbol alphabet.
@@ -43,6 +42,19 @@ class HuffmanTable {
   /// Reads one symbol; Corruption on invalid prefix or truncation.
   Result<int> DecodeSymbol(BitReader* reader) const;
 
+  /// Resolves the code at the front of \p bits, the next kMaxHuffmanBits
+  /// bits of the stream MSB-first (zero-padded past its end), without a
+  /// reader. Returns (symbol << 8 | code length), or 0 for an invalid prefix.
+  uint32_t Lookup(uint32_t bits) const {
+    const uint32_t entry = lut_[bits >> (kMaxHuffmanBits - kHuffmanLutBits)];
+    return entry != 0 ? entry : LookupLong(bits);
+  }
+
+  /// Read-only view of the decode LUT: the entry for a kHuffmanLutBits-bit
+  /// stream prefix, (symbol << 8 | code length), or 0 when the prefix holds
+  /// no whole code. \p prefix < 2^kHuffmanLutBits.
+  uint32_t LutEntry(uint32_t prefix) const { return lut_[prefix]; }
+
   /// Code length for \p symbol (0 if absent).
   int CodeLength(int symbol) const {
     return symbol >= 0 && symbol < static_cast<int>(lengths_.size())
@@ -55,6 +67,9 @@ class HuffmanTable {
  private:
   // Builds codes_, first_code_/first_index_ decode acceleration from lengths_.
   Status BuildFromLengths();
+
+  // Lookup's canonical scan for codes longer than kHuffmanLutBits.
+  uint32_t LookupLong(uint32_t bits) const;
 
   std::vector<uint8_t> lengths_;        // per-symbol code length, 0 = absent
   std::vector<uint16_t> codes_;         // per-symbol canonical code

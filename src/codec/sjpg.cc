@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "src/codec/bitstream.h"
 #include "src/codec/block_codec.h"
@@ -260,8 +261,31 @@ Result<ParsedStream> ParseStream(const std::vector<uint8_t>& bytes) {
   if (ps.entropy_base + ps.row_offsets[mcu_rows] > bytes.size()) {
     return Status::Corruption("entropy data truncated");
   }
+  // Every block costs at least 2 bits (a DC code, then an EOB or AC code),
+  // so a header claiming more blocks than the entropy data can hold is
+  // rejected here, before a decoder allocates planes for it.
+  const uint64_t blocks = static_cast<uint64_t>(mcu_rows) *
+                          ps.header.mcu_cols * (color ? 6 : 1);
+  if (blocks * 2 > static_cast<uint64_t>(ps.row_offsets[mcu_rows]) * 8) {
+    return Status::Corruption("entropy data too short for the image size");
+  }
   return ps;
 }
+
+// The block decoder's tables for one decode: the fast-AC tables are built
+// once from the stream's Huffman tables (gray streams carry no chroma ones).
+struct EntropyTables {
+  explicit EntropyTables(const ParsedStream& ps)
+      : luma(ps.dc_luma, ps.ac_luma) {
+    if (ps.header.channels == 3) chroma.emplace(ps.dc_chroma, ps.ac_chroma);
+  }
+  const BlockDecodeTables& For(int component) const {
+    return component == 0 ? luma : *chroma;
+  }
+
+  BlockDecodeTables luma;
+  std::optional<BlockDecodeTables> chroma;
+};
 
 }  // namespace
 
@@ -296,8 +320,8 @@ Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
   const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
   const int blocks_per_mcu = color ? 6 : 1;
 
+  const EntropyTables tables(ps);
   BitReader reader(bytes.data(), bytes.size());
-  SMOL_RETURN_IF_ERROR(reader.SeekToByte(ps.entropy_base));
   std::vector<int16_t> scaled(static_cast<size_t>(n) * n);
   for (int mr = 0; mr < hdr.mcu_rows; ++mr) {
     SMOL_RETURN_IF_ERROR(
@@ -307,13 +331,8 @@ Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
         CoeffBlock cb;
-        if (ref.component == 0) {
-          SMOL_RETURN_IF_ERROR(
-              DecodeBlock(&reader, ps.dc_luma, ps.ac_luma, &dc_pred[0], &cb));
-        } else {
-          SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, ps.dc_chroma, ps.ac_chroma,
-                                           &dc_pred[ref.component], &cb));
-        }
+        SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
+                                         &dc_pred[ref.component], &cb));
         if (stats != nullptr) {
           stats->entropy_blocks++;
           stats->idct_blocks++;  // counted, but each costs ~n^2/64 of full
@@ -427,6 +446,7 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
   const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
   const int blocks_per_mcu = color ? 6 : 1;
 
+  const EntropyTables tables(ps);
   BitReader reader(bytes.data(), bytes.size());
   for (int mr = mr0; mr < mr1; ++mr) {
     // Seek via the row index: rows outside the band cost nothing.
@@ -439,13 +459,8 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
         CoeffBlock cb;
-        if (ref.component == 0) {
-          SMOL_RETURN_IF_ERROR(
-              DecodeBlock(&reader, ps.dc_luma, ps.ac_luma, &dc_pred[0], &cb));
-        } else {
-          SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, ps.dc_chroma, ps.ac_chroma,
-                                           &dc_pred[ref.component], &cb));
-        }
+        SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
+                                         &dc_pred[ref.component], &cb));
         if (stats != nullptr) stats->entropy_blocks++;
         if (!in_roi) continue;  // skip the inverse transform outside the ROI
         if (stats != nullptr) stats->idct_blocks++;

@@ -329,8 +329,13 @@ Result<Image> SpngDecode(const std::vector<uint8_t>& bytes,
   // Early stopping: inflate only the bytes covering the requested rows.
   const size_t needed = static_cast<size_t>(rows) * (row_bytes + 1);
 
+  // Reserve no more than the remaining bits can inflate to: a token costs at
+  // least 1 bit per literal and 2 bits (length + distance code) per match of
+  // at most kMaxMatch bytes. A hostile header thus cannot make this reserve
+  // gigabytes before a single token is read.
+  const size_t remaining_bits = (bytes.size() - reader.byte_position()) * 8;
   std::vector<uint8_t> inflated;
-  inflated.reserve(needed);
+  inflated.reserve(std::min(needed, remaining_bits * (kMaxMatch / 2)));
   while (inflated.size() < needed) {
     SMOL_ASSIGN_OR_RETURN(int sym, litlen.DecodeSymbol(&reader));
     if (stats != nullptr) stats->tokens_decoded++;

@@ -532,8 +532,10 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
   const int mb_cols = (w + 15) / 16;
   const int mb_rows = (h + 15) / 16;
   const bool intra = frame_types_[index] == 'I';
-  if (!intra && last_decoded_ != index - 1) {
-    return Status::Internal("P-frame decoded without reference");
+  // A P-frame predicts from the frame before it; frame 0 (or a P-frame
+  // reached with no I-frame before it) has nothing to predict from.
+  if (!intra && (index == 0 || last_decoded_ != index - 1)) {
+    return Status::Corruption("P-frame without a decoded reference");
   }
   const QuantTable luma_qt = QuantTable::Luma(header_.quality);
   const QuantTable chroma_qt = QuantTable::Chroma(header_.quality);
@@ -546,6 +548,8 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
                         HuffmanTable::Deserialize(&reader));
   SMOL_ASSIGN_OR_RETURN(HuffmanTable ac_chroma,
                         HuffmanTable::Deserialize(&reader));
+  const BlockDecodeTables luma_tables(dc_luma, ac_luma);
+  const BlockDecodeTables chroma_tables(dc_chroma, ac_chroma);
 
   Ycbcr420 recon;
   recon.width = w;
@@ -565,6 +569,9 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
       MotionVector mv{0, 0};
       if (!intra) {
         SMOL_ASSIGN_OR_RETURN(uint32_t mode_bits, reader.ReadBits(2));
+        if (mode_bits > kModeIntra) {
+          return Status::Corruption("bad macroblock mode");
+        }
         mode = static_cast<MbMode>(mode_bits);
         if (mode == kModeInter) {
           SMOL_ASSIGN_OR_RETURN(mv.dx, ReadMvComponent(&reader));
@@ -603,13 +610,9 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
       // Decode 6 blocks.
       for (int b = 0; b < 6; ++b) {
         CoeffBlock cb;
-        if (b < 4) {
-          SMOL_RETURN_IF_ERROR(
-              DecodeBlock(&reader, dc_luma, ac_luma, &dc_pred[0], &cb));
-        } else {
-          SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, dc_chroma, ac_chroma,
-                                           &dc_pred[b - 3], &cb));
-        }
+        SMOL_RETURN_IF_ERROR(DecodeBlock(
+            &reader, b < 4 ? luma_tables : chroma_tables,
+            &dc_pred[b < 4 ? 0 : b - 3], &cb));
         stats_.blocks_decoded++;
         int16_t rec[64];
         ReconstructBlock(cb, b < 4 ? luma_qt : chroma_qt, rec);

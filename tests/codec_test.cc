@@ -1,10 +1,14 @@
 // Unit, integration and property tests for src/codec: bitstream, Huffman,
 // DCT, color, SJPG (roundtrip / ROI / early stop), SPNG (lossless roundtrip /
-// early stop), SV264 (roundtrip / random access / deblock toggle), formats.
+// early stop), SV264 (roundtrip / random access / deblock toggle), formats,
+// block-decoder parity against the symbol-at-a-time reference, and the
+// truncation / bit-flip mutation sweep over every decoder.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "src/codec/bitstream.h"
 #include "src/codec/block_codec.h"
@@ -16,6 +20,7 @@
 #include "src/codec/sjpg.h"
 #include "src/codec/spng.h"
 #include "src/codec/sv264.h"
+#include "src/data/synth_image.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -483,6 +488,32 @@ TEST(SjpgTest, EmptyAndBadInputsRejected) {
   EXPECT_FALSE(SjpgDecode({}).ok());
 }
 
+// A header claiming 65535x65535 with an empty entropy section: every block
+// needs at least 2 bits, so it is rejected before ~6.4 GB of planes are
+// allocated.
+TEST(SjpgTest, ImplausibleSizeRejectedBeforeAllocating) {
+  std::vector<uint64_t> freq(256, 1);
+  ASSERT_OK_AND_ASSIGN(HuffmanTable table, HuffmanTable::FromFrequencies(freq));
+  BitWriter w;
+  w.WriteU32(0x3150'4A53);  // "SJP1"
+  w.WriteU16(65535);
+  w.WriteU16(65535);
+  w.WriteByte(3);
+  w.WriteByte(85);
+  for (int i = 0; i < 128; ++i) w.WriteU16(1);  // luma + chroma quant
+  for (int t = 0; t < 4; ++t) table.Serialize(&w);
+  const int mcu_rows = 4096;
+  w.WriteU16(mcu_rows);
+  for (int i = 0; i <= mcu_rows; ++i) w.WriteU32(0);  // empty entropy data
+  const std::vector<uint8_t> bytes = w.Finish();
+  EXPECT_EQ(SjpgPeekHeader(bytes).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(SjpgDecode(bytes).status().code(), StatusCode::kCorruption);
+  SjpgDecodeOptions scaled;
+  scaled.scale_denom = 8;
+  EXPECT_EQ(SjpgDecode(bytes, scaled).status().code(),
+            StatusCode::kCorruption);
+}
+
 // Property sweep: roundtrip PSNR stays reasonable across sizes and qualities.
 struct SjpgSweepParam {
   int width;
@@ -572,6 +603,25 @@ TEST(SpngTest, CorruptStreamsRejected) {
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 3);
   EXPECT_FALSE(SpngDecode(truncated).ok());
+}
+
+// An 89-byte stream whose header promises 65535x65534 gray pixels (the
+// largest inflated size its u32 field admits, ~4.29 GB): the decoder must
+// not reserve that up front, and fails on the missing tokens.
+TEST(SpngTest, HugeHeaderOnTinyStreamRejected) {
+  std::vector<uint64_t> freq(2, 1);
+  ASSERT_OK_AND_ASSIGN(HuffmanTable table, HuffmanTable::FromFrequencies(freq));
+  BitWriter w;
+  w.WriteU32(0x314E'5053);  // "SPN1"
+  w.WriteU16(65535);
+  w.WriteU16(65534);
+  w.WriteByte(1);
+  w.WriteU32(65534u * (65535u + 1u));
+  table.Serialize(&w);  // literal/length codes
+  table.Serialize(&w);  // distance codes; no tokens follow
+  const std::vector<uint8_t> bytes = w.Finish();
+  EXPECT_EQ(bytes.size(), 89u);
+  EXPECT_EQ(SpngDecode(bytes).status().code(), StatusCode::kCorruption);
 }
 
 class SpngSweepTest : public ::testing::TestWithParam<int> {};
@@ -709,6 +759,52 @@ TEST(Sv264Test, CorruptContainerRejected) {
   EXPECT_FALSE(Sv264Decoder::Open(truncated).ok());
 }
 
+// Frame 0 retyped from 'I' to 'P' (one byte) has no reference to predict
+// from. Nor has frame 0 once its index entry also points at frame 1's real
+// P-frame payload, whose skip and inter macroblocks used to predict from
+// empty planes (a null read).
+TEST(Sv264Test, PFrameWithoutReferenceRejected) {
+  const auto video = MakeTestVideo(32, 32, 4);
+  ASSERT_OK_AND_ASSIGN(auto bytes, Sv264Encode(video));
+  const size_t type0 = 13;  // after magic, w, h, frames, gop, quality, deblock
+  ASSERT_EQ(bytes[type0], 'I');
+  ASSERT_EQ(bytes[type0 + 5], 'P');  // index entries: type byte, u32 offset
+  auto retyped = bytes;
+  retyped[type0] = 'P';
+  auto redirected = retyped;
+  std::copy(bytes.begin() + type0 + 6, bytes.begin() + type0 + 10,
+            redirected.begin() + type0 + 1);
+  for (const auto& stream : {retyped, redirected}) {
+    ASSERT_OK_AND_ASSIGN(auto decoder, Sv264Decoder::Open(stream));
+    EXPECT_EQ(decoder->DecodeFrame(0).status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(decoder->DecodeFrame(2).status().code(),
+              StatusCode::kCorruption);
+  }
+}
+
+// Macroblock mode 3 does not exist; it used to blend residuals into an
+// uninitialised prediction.
+TEST(Sv264Test, BadMacroblockModeRejected) {
+  const auto video = MakeTestVideo(32, 32, 2);
+  ASSERT_OK_AND_ASSIGN(auto bytes, Sv264Encode(video, {.gop = 2}));
+  ASSERT_EQ(bytes[13 + 5], 'P');  // frame 1
+  // Frame 1's payload: its offset in the index, rebased past the index.
+  BitReader index(bytes.data(), bytes.size());
+  ASSERT_OK(index.SeekToByte(13 + 5 + 1));
+  ASSERT_OK_AND_ASSIGN(uint32_t offset, index.ReadU32());
+  BitReader payload(bytes.data(), bytes.size());
+  ASSERT_OK(payload.SeekToByte(13 + 2 * 5 + 4 + offset));
+  for (int t = 0; t < 4; ++t) {
+    ASSERT_OK(HuffmanTable::Deserialize(&payload).status());
+  }
+  // The first macroblock's 2 mode bits open the byte after the tables.
+  bytes[payload.byte_position()] |= 0xC0;
+  ASSERT_OK_AND_ASSIGN(auto decoder, Sv264Decoder::Open(bytes));
+  ASSERT_OK(decoder->DecodeFrame(0).status());
+  EXPECT_EQ(decoder->DecodeFrame(1).status().code(), StatusCode::kCorruption);
+}
+
 // --- Format registry ------------------------------------------------------------------
 
 TEST(FormatTest, Table4FeatureMatrix) {
@@ -749,6 +845,494 @@ TEST(BlockCodecTest, BitSizeMatchesLog2) {
   EXPECT_EQ(BitSize(-3), 2);
   EXPECT_EQ(BitSize(255), 8);
   EXPECT_EQ(BitSize(256), 9);
+}
+
+
+// --- Block decoder parity and mutation sweep ---------------------------------
+
+// The block entropy decoder before the bit-window rewrite, kept as the
+// reference: one HuffmanTable::DecodeSymbol and one BitReader::ReadBits per
+// symbol.
+Status ReferenceDecodeBlock(BitReader* reader, const HuffmanTable& dc_table,
+                            const HuffmanTable& ac_table, int* dc_pred,
+                            CoeffBlock* block) {
+  std::memset(block->zz, 0, sizeof(block->zz));
+  SMOL_ASSIGN_OR_RETURN(int dc_size, dc_table.DecodeSymbol(reader));
+  if (dc_size > 15) return Status::Corruption("bad DC size");
+  int diff = 0;
+  if (dc_size > 0) {
+    SMOL_ASSIGN_OR_RETURN(uint32_t bits, reader->ReadBits(dc_size));
+    diff = DecodeValueBits(bits, dc_size);
+  }
+  *dc_pred += diff;
+  block->zz[0] = static_cast<int16_t>(*dc_pred);
+  int i = 1;
+  while (i < 64) {
+    SMOL_ASSIGN_OR_RETURN(int sym, ac_table.DecodeSymbol(reader));
+    if (sym == 0x00) break;  // EOB
+    if (sym == 0xF0) {       // ZRL
+      i += 16;
+      continue;
+    }
+    const int run = sym >> 4;
+    const int size = sym & 0x0F;
+    if (size == 0) return Status::Corruption("bad AC symbol");
+    i += run;
+    if (i >= 64) return Status::Corruption("AC index overflow");
+    SMOL_ASSIGN_OR_RETURN(uint32_t bits, reader->ReadBits(size));
+    block->zz[i] = static_cast<int16_t>(DecodeValueBits(bits, size));
+    ++i;
+  }
+  return Status::OK();
+}
+
+// Both block decoders, each on its own reader over the same bytes, stepped
+// in lockstep.
+struct DecoderPair {
+  explicit DecoderPair(const std::vector<uint8_t>& bytes)
+      : ref(bytes.data(), bytes.size()), fast(bytes.data(), bytes.size()) {}
+
+  bool Seek(size_t byte) {
+    return ref.SeekToByte(byte).ok() && fast.SeekToByte(byte).ok();
+  }
+
+  // Decodes one block with both. Returns "" when they agree (same status
+  // code; when OK, the same coefficients, DC predictor and reader position),
+  // else what differed. *ok reports the shared status.
+  std::string Block(const HuffmanTable& dc, const HuffmanTable& ac,
+                    const BlockDecodeTables& tables, int* ref_pred,
+                    int* fast_pred, bool* ok) {
+    CoeffBlock want, got;
+    const Status ws = ReferenceDecodeBlock(&ref, dc, ac, ref_pred, &want);
+    const Status gs = DecodeBlock(&fast, tables, fast_pred, &got);
+    *ok = ws.ok();
+    if (ws.code() != gs.code()) {
+      return "status " + ws.ToString() + " vs " + gs.ToString();
+    }
+    if (!ws.ok()) return "";
+    if (std::memcmp(want.zz, got.zz, sizeof(want.zz)) != 0) {
+      return "coefficients differ";
+    }
+    if (*ref_pred != *fast_pred) return "DC predictor differs";
+    if (ref.bit_position() != fast.bit_position()) {
+      return "reader position " + std::to_string(ref.bit_position()) +
+             " vs " + std::to_string(fast.bit_position());
+    }
+    return "";
+  }
+
+  BitReader ref;
+  BitReader fast;
+};
+
+// Blocks compared by the parity helpers, split by their shared status.
+struct ParityCounts {
+  int64_t ok = 0;
+  int64_t failed = 0;
+};
+
+// An SJPG stream's entropy tables and row index, read with the public
+// bitstream/Huffman API in the layout SjpgEncode writes. Unlike the
+// decoder it does not check the row index against the stream length, so a
+// truncated stream still reaches the block decoders.
+struct SjpgLayout {
+  bool color = false;
+  int mcu_rows = 0;
+  int mcu_cols = 0;
+  HuffmanTable dc[2], ac[2];  // [0] luma, [1] chroma (gray: luma again)
+  std::vector<uint32_t> row_offsets;
+  size_t entropy_base = 0;
+};
+
+Result<SjpgLayout> ParseSjpgLayout(const std::vector<uint8_t>& bytes) {
+  BitReader r(bytes.data(), bytes.size());
+  SMOL_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
+  if (magic != 0x3150'4A53) return Status::Corruption("magic");
+  SMOL_ASSIGN_OR_RETURN(uint16_t w, r.ReadU16());
+  SMOL_ASSIGN_OR_RETURN(uint16_t h, r.ReadU16());
+  SMOL_ASSIGN_OR_RETURN(uint8_t channels, r.ReadByte());
+  SMOL_RETURN_IF_ERROR(r.ReadByte().status());  // quality
+  if (w == 0 || h == 0 || (channels != 1 && channels != 3)) {
+    return Status::Corruption("header");
+  }
+  SjpgLayout layout;
+  layout.color = channels == 3;
+  const int mcu = layout.color ? 16 : 8;
+  layout.mcu_cols = (w + mcu - 1) / mcu;
+  layout.mcu_rows = (h + mcu - 1) / mcu;
+  for (int i = 0; i < (layout.color ? 128 : 64); ++i) {
+    SMOL_RETURN_IF_ERROR(r.ReadU16().status());  // quant tables
+  }
+  for (int t = 0; t < (layout.color ? 2 : 1); ++t) {
+    SMOL_ASSIGN_OR_RETURN(layout.dc[t], HuffmanTable::Deserialize(&r));
+    SMOL_ASSIGN_OR_RETURN(layout.ac[t], HuffmanTable::Deserialize(&r));
+  }
+  if (!layout.color) {
+    layout.dc[1] = layout.dc[0];
+    layout.ac[1] = layout.ac[0];
+  }
+  SMOL_ASSIGN_OR_RETURN(uint16_t rows, r.ReadU16());
+  if (rows != layout.mcu_rows) return Status::Corruption("row count");
+  layout.row_offsets.resize(rows + 1);
+  for (auto& offset : layout.row_offsets) {
+    SMOL_ASSIGN_OR_RETURN(offset, r.ReadU32());
+  }
+  layout.entropy_base = r.byte_position();
+  return layout;
+}
+
+// Decodes the MCU rows of \p bytes from \p first_row on with both decoders
+// side by side; a row stops at its first failing block (the decoders stop
+// there too). Returns "" when every block agrees, else the first mismatch.
+std::string CompareSjpgRows(const std::vector<uint8_t>& bytes,
+                            const SjpgLayout& layout, int first_row,
+                            ParityCounts* counts) {
+  static constexpr int kColorComponent[6] = {0, 0, 0, 0, 1, 2};
+  const BlockDecodeTables tables[2] = {
+      BlockDecodeTables(layout.dc[0], layout.ac[0]),
+      BlockDecodeTables(layout.dc[1], layout.ac[1])};
+  const int blocks_per_mcu = layout.color ? 6 : 1;
+  for (int mr = first_row; mr < layout.mcu_rows; ++mr) {
+    DecoderPair pair(bytes);
+    if (!pair.Seek(layout.entropy_base + layout.row_offsets[mr])) continue;
+    int ref_pred[3] = {0, 0, 0};
+    int fast_pred[3] = {0, 0, 0};
+    bool ok = true;
+    for (int mc = 0; mc < layout.mcu_cols && ok; ++mc) {
+      for (int b = 0; b < blocks_per_mcu && ok; ++b) {
+        const int comp = layout.color ? kColorComponent[b] : 0;
+        const int t = comp == 0 ? 0 : 1;
+        const std::string diff =
+            pair.Block(layout.dc[t], layout.ac[t], tables[t], &ref_pred[comp],
+                       &fast_pred[comp], &ok);
+        if (!diff.empty()) {
+          return "row " + std::to_string(mr) + " mcu " + std::to_string(mc) +
+                 " block " + std::to_string(b) + ": " + diff;
+        }
+        ++(ok ? counts->ok : counts->failed);
+      }
+    }
+  }
+  return "";
+}
+
+// Runs every whole-stream decoder on \p bytes, whatever its format: SJPG at
+// each denominator, with an ROI and with early stop; SPNG; SV264 in order
+// and by random access. They must return (any status); a crash or sanitizer
+// report fails the suite.
+void RunWholeDecoders(const std::vector<uint8_t>& bytes) {
+  auto sjpg_header = SjpgPeekHeader(bytes);
+  for (int denom : {1, 2, 4, 8}) {
+    SjpgDecodeOptions options;
+    options.scale_denom = denom;
+    (void)SjpgDecode(bytes, options);
+  }
+  if (sjpg_header.ok()) {
+    const SjpgHeader& h = sjpg_header.value();
+    SjpgDecodeOptions roi;
+    roi.roi = Roi{h.width / 4, h.height / 3, std::max(1, h.width / 2),
+                  std::max(1, h.height / 2)};
+    (void)SjpgDecode(bytes, roi);
+    SjpgDecodeOptions early;
+    early.max_rows = std::max(1, h.height / 2);
+    (void)SjpgDecode(bytes, early);
+  }
+  (void)SpngPeekHeader(bytes);
+  (void)SpngDecode(bytes);
+  SpngDecodeOptions spng_early;
+  spng_early.max_rows = 3;
+  (void)SpngDecode(bytes, spng_early);
+  auto video = Sv264Decoder::Open(bytes);
+  if (video.ok()) {
+    Sv264Decoder& decoder = *video.value();
+    for (int i = 0; i < decoder.num_frames(); ++i) (void)decoder.DecodeFrame(i);
+    (void)decoder.DecodeFrame(0);
+    (void)decoder.DecodeFrame(decoder.num_frames() - 1);
+  }
+}
+
+// Flips 1-4 seeded random bits.
+std::vector<uint8_t> FlipBits(std::vector<uint8_t> bytes, Rng* rng) {
+  const int flips = 1 + static_cast<int>(rng->Uniform(4));
+  for (int f = 0; f < flips; ++f) {
+    const uint64_t bit = rng->Uniform(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+  return bytes;
+}
+
+struct SjpgParityCase {
+  const char* name;
+  int width;
+  int height;
+  int channels;
+  int quality;
+  enum Content { kBenchmark, kSmooth, kNoise } content;
+};
+
+std::vector<uint8_t> EncodeParityCase(const SjpgParityCase& c) {
+  Image img;
+  if (c.content == SjpgParityCase::kBenchmark) {
+    // The serving benchmark's input generator: 8-class synthetic images.
+    SynthImageOptions options;
+    options.width = c.width;
+    options.height = c.height;
+    options.num_classes = 8;
+    options.seed = 11;
+    img = SynthImageGenerator(options).Generate(3, 3);
+  } else if (c.content == SjpgParityCase::kSmooth) {
+    img = MakeTestImage(c.width, c.height, c.channels,
+                        static_cast<uint64_t>(c.width * 7 + c.height));
+  } else {
+    img = MakeNoiseImage(c.width, c.height, c.channels);
+  }
+  auto bytes = SjpgEncode(img, {.quality = c.quality});
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? bytes.value() : std::vector<uint8_t>{};
+}
+
+class SjpgParityTest : public ::testing::TestWithParam<SjpgParityCase> {};
+
+TEST_P(SjpgParityTest, BlockDecoderMatchesReference) {
+  const auto bytes = EncodeParityCase(GetParam());
+  ASSERT_OK_AND_ASSIGN(SjpgLayout layout, ParseSjpgLayout(bytes));
+  ParityCounts counts;
+  ASSERT_EQ(CompareSjpgRows(bytes, layout, 0, &counts), "");
+  EXPECT_EQ(counts.ok, int64_t{layout.mcu_rows} * layout.mcu_cols *
+                           (layout.color ? 6 : 1));
+  EXPECT_EQ(counts.failed, 0);
+}
+
+// Every truncation and 250 seeded 1-4-bit flips, compared block by block
+// and run through every whole-stream decoder.
+TEST_P(SjpgParityTest, MutantsMatchReferenceAndNeverCrash) {
+  const auto bytes = EncodeParityCase(GetParam());
+  ASSERT_OK_AND_ASSIGN(SjpgLayout pristine, ParseSjpgLayout(bytes));
+  ParityCounts counts;
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + keep);
+    RunWholeDecoders(cut);
+    auto layout = ParseSjpgLayout(cut);
+    if (!layout.ok()) continue;
+    // Rows that end 16+ bytes before the cut decode exactly as in the whole
+    // stream (already compared): the window reads at most 8 bytes ahead.
+    int first_row = 0;
+    while (first_row < pristine.mcu_rows &&
+           pristine.entropy_base + pristine.row_offsets[first_row + 1] + 16 <=
+               keep) {
+      ++first_row;
+    }
+    ASSERT_EQ(CompareSjpgRows(cut, layout.value(), first_row, &counts), "")
+        << "kept " << keep << " of " << bytes.size();
+  }
+  Rng rng(0x5eed + static_cast<uint64_t>(bytes.size()));
+  for (int trial = 0; trial < 250; ++trial) {
+    const std::vector<uint8_t> mutant = FlipBits(bytes, &rng);
+    RunWholeDecoders(mutant);
+    auto layout = ParseSjpgLayout(mutant);
+    if (!layout.ok()) continue;
+    ASSERT_EQ(CompareSjpgRows(mutant, layout.value(), 0, &counts), "")
+        << "flip trial " << trial;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(counts.ok, 0);
+  EXPECT_GT(counts.failed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, SjpgParityTest,
+    ::testing::Values(
+        SjpgParityCase{"bench128q85", 128, 128, 3, 85,
+                       SjpgParityCase::kBenchmark},
+        SjpgParityCase{"odd33x17q10", 33, 17, 3, 10, SjpgParityCase::kSmooth},
+        SjpgParityCase{"rect100x75q95", 100, 75, 3, 95,
+                       SjpgParityCase::kSmooth},
+        SjpgParityCase{"bench256q50", 256, 256, 3, 50,
+                       SjpgParityCase::kBenchmark},
+        SjpgParityCase{"noise64q100", 64, 64, 3, 100, SjpgParityCase::kNoise},
+        SjpgParityCase{"gray96x80q75", 96, 80, 1, 75,
+                       SjpgParityCase::kSmooth}),
+    [](const ::testing::TestParamInfo<SjpgParityCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// A stream laid out as SV264 lays out a P-frame: per macroblock a 2-bit
+// mode and, for inter blocks, two motion-vector fields written with
+// WriteBits, then six EncodeBlock blocks (4 luma + 2 chroma). Random
+// coefficients give a wide alphabet: long codes, wide values, ZRL runs and
+// blocks that end without an EOB.
+struct InterleavedStream {
+  HuffmanTable dc[2], ac[2];
+  std::vector<uint8_t> bytes;
+  int macroblocks = 0;
+};
+
+InterleavedStream MakeInterleavedStream() {
+  Rng rng(2024);
+  constexpr int kMacroblocks = 120;
+  std::vector<int> modes(kMacroblocks);
+  std::vector<CoeffBlock> blocks(kMacroblocks * 6);
+  for (int m = 0; m < kMacroblocks; ++m) {
+    modes[m] = static_cast<int>(rng.Uniform(3));
+    for (int b = 0; b < 6; ++b) {
+      CoeffBlock& block = blocks[m * 6 + b];
+      std::memset(block.zz, 0, sizeof(block.zz));
+      block.zz[0] = static_cast<int16_t>(static_cast<int>(rng.Uniform(4001)) -
+                                         2000);
+      const uint64_t density = 2 + rng.Uniform(30);
+      for (int i = 1; i < 64; ++i) {
+        if (rng.Uniform(density) != 0) continue;
+        const int size = 1 + static_cast<int>(rng.Uniform(10));
+        const int magnitude =
+            (1 << (size - 1)) + static_cast<int>(rng.Uniform(1u << (size - 1)));
+        block.zz[i] = static_cast<int16_t>(rng.Uniform(2) ? magnitude
+                                                          : -magnitude);
+      }
+      if (rng.Uniform(8) == 0) block.zz[63] = 1;  // no EOB
+    }
+  }
+  InterleavedStream out;
+  out.macroblocks = kMacroblocks;
+  std::vector<uint64_t> dc_freq[2] = {std::vector<uint64_t>(17, 0),
+                                      std::vector<uint64_t>(17, 0)};
+  std::vector<uint64_t> ac_freq[2] = {std::vector<uint64_t>(256, 0),
+                                      std::vector<uint64_t>(256, 0)};
+  for (int m = 0; m < kMacroblocks; ++m) {
+    if (modes[m] == 0) continue;
+    int pred[3] = {0, 0, 0};
+    for (int b = 0; b < 6; ++b) {
+      const int t = b < 4 ? 0 : 1;
+      AccumulateBlockStats(blocks[m * 6 + b], &pred[b < 4 ? 0 : b - 3],
+                           dc_freq[t], ac_freq[t]);
+    }
+  }
+  for (int t = 0; t < 2; ++t) {
+    dc_freq[t][0] += 1;
+    ac_freq[t][0] += 1;
+    out.dc[t] = HuffmanTable::FromFrequencies(dc_freq[t]).MoveValue();
+    out.ac[t] = HuffmanTable::FromFrequencies(ac_freq[t]).MoveValue();
+  }
+  BitWriter writer;
+  for (int m = 0; m < kMacroblocks; ++m) {
+    writer.WriteBits(static_cast<uint32_t>(modes[m]), 2);
+    if (modes[m] == 0) continue;
+    if (modes[m] == 1) {
+      for (int component = 0; component < 2; ++component) {
+        const int v = static_cast<int>(rng.Uniform(33)) - 16;
+        const int size = BitSize(v);
+        writer.WriteBits(static_cast<uint32_t>(size), 4);
+        if (size > 0) writer.WriteBits(EncodeValueBits(v, size), size);
+      }
+    }
+    int pred[3] = {0, 0, 0};
+    for (int b = 0; b < 6; ++b) {
+      const int t = b < 4 ? 0 : 1;
+      EncodeBlock(blocks[m * 6 + b], &pred[b < 4 ? 0 : b - 3], out.dc[t],
+                  out.ac[t], &writer);
+    }
+  }
+  out.bytes = writer.Finish();
+  return out;
+}
+
+// Walks \p bytes as MakeInterleavedStream wrote them, reading the fields
+// with ReadBits and the blocks with both decoders; stops at the first
+// failure. Returns "" when every block agrees, else the first mismatch.
+std::string CompareInterleaved(const InterleavedStream& stream,
+                               const std::vector<uint8_t>& bytes,
+                               ParityCounts* counts) {
+  const BlockDecodeTables tables[2] = {
+      BlockDecodeTables(stream.dc[0], stream.ac[0]),
+      BlockDecodeTables(stream.dc[1], stream.ac[1])};
+  DecoderPair pair(bytes);
+  // Reads one field from both readers; false once either fails.
+  auto read_field = [&](int nbits, uint32_t* value) {
+    auto a = pair.ref.ReadBits(nbits);
+    auto b = pair.fast.ReadBits(nbits);
+    if (!a.ok() || !b.ok()) return false;
+    *value = a.value();
+    return a.value() == b.value();
+  };
+  for (int m = 0; m < stream.macroblocks; ++m) {
+    uint32_t mode = 0;
+    if (!read_field(2, &mode)) return "";
+    if (mode == 0) continue;
+    if (mode == 1) {
+      for (int component = 0; component < 2; ++component) {
+        uint32_t size = 0, value = 0;
+        if (!read_field(4, &size)) return "";
+        if (size > 0 && !read_field(static_cast<int>(size), &value)) return "";
+      }
+    }
+    int ref_pred[3] = {0, 0, 0};
+    int fast_pred[3] = {0, 0, 0};
+    for (int b = 0; b < 6; ++b) {
+      const int t = b < 4 ? 0 : 1;
+      const int p = b < 4 ? 0 : b - 3;
+      bool ok = true;
+      const std::string diff =
+          pair.Block(stream.dc[t], stream.ac[t], tables[t], &ref_pred[p],
+                     &fast_pred[p], &ok);
+      if (!diff.empty()) {
+        return "macroblock " + std::to_string(m) + " block " +
+               std::to_string(b) + ": " + diff;
+      }
+      ++(ok ? counts->ok : counts->failed);
+      if (!ok) return "";
+    }
+  }
+  return "";
+}
+
+TEST(BlockDecodeParityTest, InterleavedFieldsAndBlocksMatchReference) {
+  const InterleavedStream stream = MakeInterleavedStream();
+  // The random alphabet reaches codes longer than the LUT.
+  int long_codes = 0;
+  for (int sym = 0; sym < 256; ++sym) {
+    if (stream.ac[0].CodeLength(sym) > kHuffmanLutBits) ++long_codes;
+  }
+  EXPECT_GT(long_codes, 0);
+  ParityCounts counts;
+  ASSERT_EQ(CompareInterleaved(stream, stream.bytes, &counts), "");
+  EXPECT_GT(counts.ok, 300);
+  EXPECT_EQ(counts.failed, 0);
+
+  for (size_t keep = 0; keep < stream.bytes.size(); ++keep) {
+    const std::vector<uint8_t> cut(stream.bytes.begin(),
+                                   stream.bytes.begin() + keep);
+    ASSERT_EQ(CompareInterleaved(stream, cut, &counts), "") << "kept " << keep;
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::vector<uint8_t> mutant = FlipBits(stream.bytes, &rng);
+    ASSERT_EQ(CompareInterleaved(stream, mutant, &counts), "")
+        << "flip trial " << trial;
+  }
+  EXPECT_GT(counts.failed, 0);
+}
+
+// Every truncation and seeded flips of an SPNG and an SV264 stream through
+// every whole-stream decoder.
+TEST(MutationSweepTest, SpngAndSv264MutantsNeverCrash) {
+  std::vector<std::vector<uint8_t>> streams;
+  for (int channels : {1, 3}) {
+    auto spng = SpngEncode(MakeTestImage(40, 24, channels, 5));
+    ASSERT_OK(spng.status());
+    streams.push_back(spng.value());
+  }
+  auto video = Sv264Encode(MakeTestVideo(32, 32, 5), {.quality = 75, .gop = 3});
+  ASSERT_OK(video.status());
+  streams.push_back(video.value());
+  Rng rng(99);
+  for (const auto& bytes : streams) {
+    for (size_t keep = 0; keep < bytes.size(); ++keep) {
+      RunWholeDecoders(
+          std::vector<uint8_t>(bytes.begin(), bytes.begin() + keep));
+    }
+    for (int trial = 0; trial < 400; ++trial) {
+      RunWholeDecoders(FlipBits(bytes, &rng));
+    }
+  }
 }
 
 }  // namespace
