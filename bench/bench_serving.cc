@@ -70,7 +70,6 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
   opts.pipeline.num_consumers = 1;
   opts.cache.enable_tensor_cache = enable_cache;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kShed;
   Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode),
@@ -90,7 +89,7 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
   // (thousands/s) would steal measurable CPU from the producers on a small
   // host. Every arrival whose time has passed is submitted on each wakeup,
   // so the offered rate is exact and per-arrival jitter stays under the
-  // quantum (well below the batcher's own delay window at saturation).
+  // quantum.
   const auto start = std::chrono::steady_clock::now();
   auto next_wake = start;
   size_t submitted = 0;
@@ -140,7 +139,6 @@ AdaptiveBurstResult RunAdaptiveBurst(const SysoptWorkload& workload,
   ServerOptions opts;
   opts.pipeline.num_consumers = 1;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kShed;
   if (adaptive) {
@@ -235,7 +233,6 @@ ServerStats RunClosedLoopFleet(const SysoptWorkload& workload,
   ServerOptions opts;
   opts.pipeline.num_consumers = 1;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 2000.0;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kBlock;
   opts.dispatch = policy;
@@ -338,14 +335,49 @@ int main(int argc, char** argv) {
   const SysoptWorkload workload = MakeSysoptWorkload(/*count=*/512,
                                                      /*size=*/128);
 
-  // Reference: a one-shot batch run on the same images (best of 2).
+  // Reference: one-shot batch runs on the same images. A host that starts
+  // idle runs them far slower until it has carried about a second of
+  // multi-threaded load: on a 4-vCPU VM the probe read ~5.3K im/s for
+  // its first 1.1 s and ~17K after, and probes inside the slow stretch
+  // agree with each other. So warm up with the probe itself for at least
+  // kMinWarmupSeconds and then until two consecutive probes agree within
+  // 10% (at most kMaxWarmupProbes), and take the best of 3 after that.
   const PipelineOptions batch_pipeline;
+  constexpr double kMinWarmupSeconds = 2.0;
+  constexpr int kMaxWarmupProbes = 100;
+  const auto warmup_start = std::chrono::steady_clock::now();
+  const double first_probe = RunSysoptOnce(workload, batch_pipeline);
+  double previous = 0.0;
+  double current = first_probe;
+  int probes = 1;
+  double warmup_s = 0.0;
+  for (;;) {
+    previous = current;
+    current = RunSysoptOnce(workload, batch_pipeline);
+    ++probes;
+    warmup_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                             warmup_start)
+                   .count();
+    if (warmup_s >= kMinWarmupSeconds &&
+        std::min(previous, current) >= 0.9 * std::max(previous, current)) {
+      break;
+    }
+    if (probes == kMaxWarmupProbes) {
+      std::printf("Capacity warm-up hit its cap of %d probes before two "
+                  "consecutive probes agreed within 10%%\n",
+                  kMaxWarmupProbes);
+      break;
+    }
+  }
+  std::printf("Capacity warm-up: %d probes over %.1f s (first %.0f im/s, "
+              "last two %.0f and %.0f im/s)\n",
+              probes, warmup_s, first_probe, previous, current);
   double batch_capacity = 0.0;
-  for (int round = 0; round < 2; ++round) {
+  for (int round = 0; round < 3; ++round) {
     batch_capacity =
         std::max(batch_capacity, RunSysoptOnce(workload, batch_pipeline));
   }
-  std::printf("RunToCompletion batch capacity: %.0f im/s\n\n",
+  std::printf("RunToCompletion batch capacity (best of 3): %.0f im/s\n\n",
               batch_capacity);
 
   PrintRow({"Offered (im/s)", "Served (im/s)", "Shed %", "p50 (ms)",

@@ -60,14 +60,13 @@ inline Result<Image> SysoptDecode(const WorkItem& item) {
   return SjpgDecode(*item.bytes, opts);
 }
 
-/// Server options of a one-shot batch run over \p pipeline: full 16-image
-/// batches (the window outlasts the run; Shutdown() flushes the last partial
-/// batch) behind blocking admission.
+/// Server options of a one-shot batch run over \p pipeline: batches of up
+/// to 16 images behind blocking admission. A preprocessing-bound run
+/// submits what is queued rather than leave the device idle.
 inline ServerOptions BatchRunOptions(const PipelineOptions& pipeline) {
   ServerOptions opts;
   opts.pipeline = pipeline;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 1e9;
   opts.overload = OverloadPolicy::kBlock;
   opts.admission_capacity = 64;
   return opts;

@@ -101,11 +101,10 @@ int main() {
   SimAccelerator::Options aopts;
   aopts.dnn_throughput_ims = plan->exec_ims;
   auto accel = std::make_shared<SimAccelerator>(aopts);
-  // A batch run: full 16-image batches (the window outlasts the run;
-  // Shutdown() flushes the last partial batch) behind blocking admission.
+  // A batch run: batches of up to 16 images, filled from the backlog,
+  // behind blocking admission.
   ServerOptions opts;
   opts.max_batch = 16;
-  opts.max_queue_delay_us = 1e9;
   opts.admission_capacity = 64;
   opts.overload = OverloadPolicy::kBlock;
   Server server(opts, pspec,

@@ -87,8 +87,7 @@ int main() {
   // --- 1+2. Burst through the future flavour. ------------------------------
   {
     ServerOptions opts;
-    opts.max_batch = 16;             // coalesce up to 16 requests...
-    opts.max_queue_delay_us = 3000;  // ...or flush 3 ms after batch start
+    opts.max_batch = 16;  // submit up to 16 queued requests per batch
     Server server(opts, spec, DecodeSjpg,
                   std::make_shared<SimAccelerator>(accel_opts));
     std::printf("Plan: %s\n\n", server.plan().ToString().c_str());

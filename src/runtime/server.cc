@@ -196,9 +196,30 @@ void Server::Complete(RequestContext& ctx, InferenceReply reply) {
     ctx.has_promise = false;
   }
   if (ctx.callback) {
-    ctx.callback(reply);
+    // A throw must not unwind a batcher (std::terminate, and the rest of the
+    // batch unanswered) or a Submit() that already rejected the request.
+    try {
+      ctx.callback(reply);
+    } catch (...) {
+      callback_errors_.fetch_add(1, std::memory_order_relaxed);
+    }
     ctx.callback = nullptr;
   }
+}
+
+void Server::Fail(RequestContext& ctx, int label, RequestClass klass,
+                  Status status) {
+  failed_.fetch_add(1, std::memory_order_release);
+  if (status.code() == StatusCode::kDeadlineExceeded) {
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+  }
+  class_counters_[static_cast<int>(klass)].failed.fetch_add(
+      1, std::memory_order_release);
+  InferenceReply reply;
+  reply.status = std::move(status);
+  reply.label = label;
+  reply.klass = klass;
+  Complete(ctx, reply);
 }
 
 std::future<InferenceReply> Server::Submit(InferenceRequest request) {
@@ -297,19 +318,12 @@ void Server::WorkerLoop() {
   WorkerScratch scratch;
   while (auto request = admission_.Pop()) {
     const InferenceRequest& req = request->request;
-    const int klass = static_cast<int>(req.klass);
     // A request whose deadline already passed while queued completes
     // immediately instead of occupying decode + device time.
     if (req.deadline.has_value() &&
         std::chrono::steady_clock::now() > *req.deadline) {
-      failed_.fetch_add(1, std::memory_order_release);
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      class_counters_[klass].failed.fetch_add(1, std::memory_order_release);
-      InferenceReply reply;
-      reply.status = Status::DeadlineExceeded("deadline expired in queue");
-      reply.label = req.label;
-      reply.klass = req.klass;
-      Complete(request->ctx, reply);
+      Fail(request->ctx, req.label, req.klass,
+           Status::DeadlineExceeded("deadline expired in queue"));
       continue;
     }
     // Adaptive serving: resolve the class's active rung once per request.
@@ -333,15 +347,10 @@ void Server::WorkerLoop() {
     staged.ctx = std::move(request->ctx);
     staged.klass = req.klass;
     staged.rung = rung;
-    const Status status = Stage(item, active, *shard.pool, scratch, staged);
+    staged.deadline = req.deadline;
+    Status status = Stage(item, active, *shard.pool, scratch, staged);
     if (!status.ok()) {
-      failed_.fetch_add(1, std::memory_order_release);
-      class_counters_[klass].failed.fetch_add(1, std::memory_order_release);
-      InferenceReply reply;
-      reply.status = status;
-      reply.label = req.label;
-      reply.klass = req.klass;
-      Complete(staged.ctx, reply);
+      Fail(staged.ctx, req.label, req.klass, std::move(status));
       continue;
     }
     const uint64_t staged_bytes = staged.buffer->data.size();
@@ -411,17 +420,30 @@ Status Server::Stage(const WorkItem& item, const PlanRung& rung,
 void Server::BatcherLoop(Shard& shard) {
   std::vector<Staged> batch;
   batch.reserve(static_cast<size_t>(options_.max_batch));
-  for (;;) {
-    auto first = shard.queue->Pop();
-    if (!first) break;  // closed and drained
-    batch.push_back(std::move(*first));
-    // Dynamic batching: coalesce until full or the delay window expires.
-    const TimePoint deadline = std::chrono::steady_clock::now() +
-                               MicrosToDuration(options_.max_queue_delay_us);
+  // A request whose deadline passed while it waited for a batch completes
+  // here, so it spends no device time. Dropping its buffer recycles it.
+  const auto admit = [&](Staged staged) {
+    if (staged.deadline.has_value() &&
+        std::chrono::steady_clock::now() > *staged.deadline) {
+      shard.outstanding_bytes.fetch_sub(staged.buffer->data.size(),
+                                        std::memory_order_relaxed);
+      staged.buffer.reset();
+      Fail(staged.ctx, staged.label, staged.klass,
+           Status::DeadlineExceeded("deadline expired before batching"));
+      return;
+    }
+    batch.push_back(std::move(staged));
+  };
+  // Work-conserving batching: block only for a batch's first sample, take
+  // what is already queued behind it, and submit at once. Samples that
+  // arrive while this batch is on the device form the next one, so batches
+  // grow with backlog and never hold an idle device back.
+  while (auto first = shard.queue->Pop()) {  // nullopt: closed and drained
+    admit(std::move(*first));
     while (static_cast<int>(batch.size()) < options_.max_batch) {
-      auto next = shard.queue->PopUntil(deadline);
-      if (!next) break;  // window expired, or closed and drained
-      batch.push_back(std::move(*next));
+      auto next = shard.queue->TryPop();
+      if (!next) break;
+      admit(std::move(*next));
     }
     FlushBatch(shard, batch);
   }
@@ -575,6 +597,7 @@ ServerStats Server::stats() const {
   s.completed = completed_.load(std::memory_order_acquire);
   s.failed = failed_.load(std::memory_order_acquire);
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
+  s.callback_errors = callback_errors_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_acquire);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.submitted = submitted_.load(std::memory_order_acquire);

@@ -14,11 +14,13 @@
 //
 // — with four serving-specific mechanisms:
 //
-//   Dynamic batching   Each shard's batcher starts a batch with the first
-//                      staged sample it pops, then keeps coalescing until
-//                      the batch reaches max_batch or max_queue_delay_us has
-//                      elapsed, so bursty traffic gets full batches and
-//                      trickling traffic keeps bounded latency.
+//   Dynamic batching   Work-conserving: each shard's batcher starts a batch
+//                      with the first staged sample it pops, adds whatever
+//                      else is already queued (up to max_batch) without
+//                      waiting, and submits at once. Samples that arrive
+//                      while a batch is on the device form the next one, so
+//                      batches grow with backlog and an idle device serves
+//                      a lone request immediately.
 //   Dispatch           A pluggable policy chooses the shard at stage time:
 //                      round-robin, least-loaded (outstanding bytes), or
 //                      capacity-weighted (outstanding work normalized by the
@@ -136,8 +138,11 @@ struct ServerOptions {
   /// Load-adaptive plan selection; default = static single-plan serving.
   AdaptiveOptions adaptive;
 
-  int max_batch = 16;  ///< dynamic batcher: flush at this size
-  double max_queue_delay_us = 2000.0;  ///< ... or this long after batch start
+  int max_batch = 16;  ///< dynamic batcher: largest batch it submits
+  /// Ignored: the batcher never waits for batch-mates. Kept only because
+  /// the serving benchmark's adapter still sets it; the next benchmark
+  /// change deletes it.
+  double max_queue_delay_us = 2000.0;
   int admission_capacity = 256;  ///< bounded admission queue (backpressure)
   OverloadPolicy overload = OverloadPolicy::kBlock;
 
@@ -161,9 +166,9 @@ struct InferenceRequest {
   Roi roi;
   /// QoS tier: which ladder floor the request may be degraded to.
   RequestClass klass = RequestClass::kBestAccuracy;
-  int tenant_id = 0;  ///< multi-tenant attribution tag, echoed in stats
-  /// Requests still queued past this point complete with DeadlineExceeded
-  /// instead of occupying a device slot.
+  /// Requests still queued past this point — in admission or in a shard
+  /// queue waiting for a batch — complete with DeadlineExceeded instead of
+  /// occupying a device slot.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
@@ -224,8 +229,11 @@ struct ServerStats {
   uint64_t completed = 0;  ///< served through a device
   uint64_t shed = 0;       ///< rejected at admission (kShed policy)
   uint64_t failed = 0;     ///< accepted but failed (e.g. decode error)
-  /// Of failed: requests whose deadline expired before staging.
+  /// Of failed: requests whose deadline expired before reaching a device.
   uint64_t deadline_expired = 0;
+  /// User callbacks that threw. The exception is swallowed and the server
+  /// keeps serving; the request still counts as completed, failed or shed.
+  uint64_t callback_errors = 0;
   uint64_t batches = 0;  ///< device submissions, summed over shards
   double mean_batch = 0.0;
   double wall_seconds = 0.0;  ///< since construction (for reference)
@@ -275,6 +283,8 @@ class Server {
 
   /// Callback flavour: \p callback fires exactly once, on a worker thread
   /// (or on the caller's thread when the request is rejected at Submit).
+  /// An exception it throws is caught and counted in
+  /// ServerStats::callback_errors; it reaches neither thread.
   void Submit(InferenceRequest request, Callback callback);
 
   /// Stops accepting work, drains every accepted request, joins the
@@ -323,6 +333,7 @@ class Server {
     RequestContext ctx;
     RequestClass klass = RequestClass::kBestAccuracy;
     int rung = 0;
+    std::optional<TimePoint> deadline;  ///< re-checked when a batch forms
   };
   struct WorkerScratch;  // per-worker decode + preprocess scratch
 
@@ -360,7 +371,13 @@ class Server {
   };
 
   void SubmitInternal(InferenceRequest request, RequestContext ctx);
-  static void Complete(RequestContext& ctx, InferenceReply reply);
+  /// Fires the promise and/or callback; a throwing callback is counted in
+  /// callback_errors_ and swallowed.
+  void Complete(RequestContext& ctx, InferenceReply reply);
+  /// Completes an accepted request that never reaches a device with
+  /// \p status, counting it in failed (and, for DeadlineExceeded, in
+  /// deadline_expired) globally and for \p klass.
+  void Fail(RequestContext& ctx, int label, RequestClass klass, Status status);
   Shard& PickShard();
   void WorkerLoop();
   /// Decodes and preprocesses \p item at \p rung straight into a buffer
@@ -393,6 +410,7 @@ class Server {
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> deadline_expired_{0};
+  std::atomic<uint64_t> callback_errors_{0};
   std::atomic<uint64_t> batches_{0};
   ClassCounters class_counters_[kNumRequestClasses];
   /// Completion latency across all shards, recorded at reply time; the
@@ -417,9 +435,10 @@ class Server {
 /// Serves \p requests as one batch run: submits them in order, stops
 /// submitting after the first failed reply, calls server.Shutdown() (which
 /// drains every accepted request) and returns that failure or the drained
-/// stats. An empty list is rejected before anything is submitted. For
-/// full batches, give the server a batch window longer than the run and
-/// kBlock admission; Shutdown() flushes the final partial batch.
+/// stats. An empty list is rejected before anything is submitted. Give the
+/// server kBlock admission so no request is shed. Batches fill from the
+/// backlog when the device is the bottleneck; when the host is, the
+/// batcher submits whatever is queued rather than leave the device idle.
 Result<ServerStats> RunToCompletion(
     Server& server, const std::vector<InferenceRequest>& requests);
 

@@ -92,7 +92,6 @@ TEST(IntegrationTest, BatchRunServesDatasetWithRoiDecoding) {
   opts.pipeline.num_consumers = 2;
   opts.shard_queue_capacity = 8;
   opts.max_batch = 4;
-  opts.max_queue_delay_us = 1e9;
   opts.admission_capacity = 8;
   opts.overload = OverloadPolicy::kBlock;
   Server server(opts, pspec,
@@ -226,7 +225,6 @@ TEST(IntegrationTest, MinModelPredictsServedThroughputDirection) {
     auto accel = std::make_shared<SimAccelerator>(aopts);
     ServerOptions opts;
     opts.max_batch = 16;
-    opts.max_queue_delay_us = 1e9;  // full batches; Shutdown() flushes
     opts.admission_capacity = 64;
     opts.overload = OverloadPolicy::kBlock;
     Server server(opts, pspec,

@@ -40,13 +40,11 @@ class RunToCompletionTest : public ::testing::Test {
     spec_.crop_height = 64;
   }
 
-  /// A batch run's server shape: full batches of \p max_batch (the window
-  /// outlasts the run; Shutdown() flushes the last partial batch) behind
-  /// blocking admission.
+  /// A batch run's server shape: batches of up to \p max_batch, filled from
+  /// whatever is queued, behind blocking admission.
   static ServerOptions BatchOptions(int max_batch) {
     ServerOptions opts;
     opts.max_batch = max_batch;
-    opts.max_queue_delay_us = 1e9;
     opts.overload = OverloadPolicy::kBlock;
     opts.admission_capacity = 64;
     return opts;

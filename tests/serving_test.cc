@@ -9,10 +9,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/codec/sjpg.h"
@@ -28,6 +33,44 @@ namespace smol {
 namespace {
 
 using smol::testing::MakeTestImage;
+
+// Forwards to another device. It counts the batches it has started, so a
+// test can act while a batch is on the device, and until Open() it holds
+// every batch at the door, so a test can queue a backlog behind it on a
+// host of any speed.
+class GatedDevice : public Device {
+ public:
+  GatedDevice(std::shared_ptr<Device> inner, bool open)
+      : inner_(std::move(inner)), open_(open) {}
+  void ExecuteBatch(int batch_size, size_t input_bytes, bool pinned,
+                    int chunks) override {
+    started_.fetch_add(1);
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      opened_.wait(lock, [&] { return open_; });
+    }
+    inner_->ExecuteBatch(batch_size, input_bytes, pinned, chunks);
+  }
+  void Drain() override { inner_->Drain(); }
+  DeviceStats stats() const override { return inner_->stats(); }
+  double capacity_ims() const override { return inner_->capacity_ims(); }
+  const std::string& name() const override { return inner_->name(); }
+  int started() const { return started_.load(); }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+
+ private:
+  std::shared_ptr<Device> inner_;
+  std::atomic<int> started_{0};
+  std::mutex mutex_;
+  std::condition_variable opened_;
+  bool open_;  // guarded by mutex_
+};
 
 class ServingTest : public ::testing::Test {
  protected:
@@ -98,15 +141,27 @@ TEST_F(ServingTest, SubmitCompletesWithLatencyAndEchoedLabel) {
   EXPECT_GT(stats.throughput_ims, 0.0);
 }
 
-// Bursty submission: everything is in flight at once, and the accelerator is
-// slow enough that the staged queue backs up, so the batcher must coalesce.
+// Bursty submission: everything is in flight at once, and the device is held
+// shut until the whole burst is staged, so a backlog waits behind it however
+// fast or slow the host preprocesses, and the batcher must coalesce it.
 TEST_F(ServingTest, BurstySubmissionCoalescesBatches) {
   ServerOptions opts;
   opts.max_batch = 8;
-  opts.max_queue_delay_us = 100000.0;  // generous window: size-triggered flush
-  Server server(opts, spec_, DecodeSjpg, MakeAccel(2000.0));
+  auto device = std::make_shared<GatedDevice>(MakeAccel(2000.0),
+                                              /*open=*/false);
+  Server server(opts, spec_, DecodeSjpg, device);
   std::vector<std::future<InferenceReply>> replies;
   for (int i = 0; i < 48; ++i) replies.push_back(server.Submit(Item(i)));
+  // Staged but not yet through the device: 48 64x64x3 f32 tensors.
+  const uint64_t burst_bytes = 48u * 64u * 64u * 3u * sizeof(float);
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(60);
+  while (server.stats().shards[0].outstanding_bytes < burst_bytes &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().shards[0].outstanding_bytes, burst_bytes);
+  device->Open();
   for (auto& r : replies) ASSERT_TRUE(r.get().ok());
   server.Shutdown();
   const ServerStats stats = server.stats();
@@ -118,12 +173,11 @@ TEST_F(ServingTest, BurstySubmissionCoalescesBatches) {
   EXPECT_GT(stats.mean_batch, 1.5);
 }
 
-// Trickling submission: gaps between requests dwarf the coalescing window,
-// so every request must be served alone (latency-bounded flush).
+// Trickling submission: each request is served before the next arrives, so
+// the batcher never finds a batch-mate queued and serves each one alone.
 TEST_F(ServingTest, SlowSubmissionServesSingleSampleBatches) {
   ServerOptions opts;
   opts.max_batch = 8;
-  opts.max_queue_delay_us = 500.0;
   Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));
   std::vector<std::future<InferenceReply>> replies;
   for (int i = 0; i < 8; ++i) {
@@ -138,6 +192,25 @@ TEST_F(ServingTest, SlowSubmissionServesSingleSampleBatches) {
   EXPECT_EQ(stats.completed, 8u);
   EXPECT_EQ(stats.batches, 8u);
   EXPECT_EQ(stats.accel_stats.max_batch, 1u);
+}
+
+// Work-conserving batching: a lone request on an idle device is submitted at
+// once, not held for batch-mates. The 10 s max_queue_delay_us would hold it
+// for 10 s if the batcher still waited on it; the runtime ignores the field.
+TEST_F(ServingTest, IdleDeviceDoesNotWaitForBatchMates) {
+  ServerOptions opts;
+  opts.max_batch = 8;
+  opts.max_queue_delay_us = 10e6;
+  opts.pipeline.num_consumers = 1;
+  Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));
+  std::future<InferenceReply> reply = server.Submit(Item(0));
+  ASSERT_EQ(reply.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  const InferenceReply r = reply.get();
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.batch_size, 1);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().batches, 1u);
 }
 
 // Shed policy: with tiny queues and a slow accelerator, an open-loop burst
@@ -230,6 +303,40 @@ TEST_F(ServingTest, CallbackFlavourFiresExactlyOncePerRequest) {
   server.Shutdown();  // all callbacks have fired once drained
   EXPECT_EQ(fired.load(), 24);
   EXPECT_EQ(ok.load(), 24);
+}
+
+// A callback that throws must not take the server down: on a batcher thread
+// the exception would otherwise terminate the process and leave the rest of
+// its batch unanswered. Every callback still runs once, the throw is counted,
+// and later traffic is served — also when the throw comes from a request
+// rejected inside Submit().
+TEST_F(ServingTest, ThrowingCallbackIsCountedAndServingContinues) {
+  ServerOptions opts;
+  opts.max_batch = 8;
+  Server server(opts, spec_, DecodeSjpg, MakeAccel(2000.0));
+  constexpr int kThrowingLabel = 5;
+  std::atomic<int> fired{0};
+  for (int i = 0; i < 16; ++i) {
+    server.Submit(Item(i), [&](const InferenceReply& reply) {
+      fired.fetch_add(1);
+      if (reply.label == kThrowingLabel) throw std::runtime_error("callback");
+    });
+  }
+  EXPECT_TRUE(server.Submit(Item(16)).get().ok());
+  InferenceRequest null_request = Item(17);
+  null_request.bytes = nullptr;
+  std::atomic<int> rejected_fired{0};
+  server.Submit(null_request, [&](const InferenceReply& reply) {
+    rejected_fired.fetch_add(1);
+    throw std::runtime_error(reply.status.ToString());
+  });
+  EXPECT_EQ(rejected_fired.load(), 1);  // Submit() returned normally
+  server.Shutdown();
+  EXPECT_EQ(fired.load(), 16);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 16u + 1u);  // the 16, then the later request
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.callback_errors, 2u);  // one served, one rejected
 }
 
 TEST_F(ServingTest, DecodeErrorCompletesRequestWithFailure) {
@@ -649,6 +756,47 @@ TEST_F(ServingTest, ExpiredDeadlineCompletesWithDeadlineExceeded) {
   // ...attributed to the request's class.
   ASSERT_EQ(stats.classes.size(), static_cast<size_t>(kNumRequestClasses));
   EXPECT_EQ(stats.classes[0].failed, 1u);
+}
+
+// Deadlines are checked again when a batch forms. A request that expires in
+// its shard queue behind a busy device completes with DeadlineExceeded,
+// gives back its staging buffer and its shard load, and never reaches the
+// device.
+TEST_F(ServingTest, DeadlineExpiredWhileQueuedForBatchSkipsDevice) {
+  ServerOptions opts;
+  opts.pipeline.num_consumers = 1;
+  auto device = std::make_shared<GatedDevice>(MakeAccel(2.0), /*open=*/true);
+  Server server(opts, spec_, DecodeSjpg, device);
+  // 2 im/s: request 0 holds the only batcher on the device for 500 ms.
+  std::future<InferenceReply> first = server.Submit(Item(0));
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (device->started() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(device->started(), 1);
+  InferenceRequest late = Item(1, RequestClass::kLatencySlo);
+  late.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  const InferenceReply r = server.Submit(late).get();
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(r.label, 1);
+  EXPECT_TRUE(first.get().ok());
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.accel_stats.images, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.deadline_expired, 1u);
+  ASSERT_EQ(stats.classes.size(), static_cast<size_t>(kNumRequestClasses));
+  EXPECT_EQ(stats.classes[static_cast<int>(RequestClass::kLatencySlo)].failed,
+            1u);
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].outstanding_bytes, 0u);
+  // Every staging buffer handed out went back to the pool.
+  EXPECT_EQ(stats.buffer_stats.returns,
+            stats.buffer_stats.allocations + stats.buffer_stats.reuses);
 }
 
 // After a drained shutdown the per-class splits must reconcile exactly with
