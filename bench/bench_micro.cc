@@ -12,6 +12,7 @@
 #include "src/dnn/gemm.h"
 #include "src/preproc/fused.h"
 #include "src/preproc/ops.h"
+#include "src/preproc/resize.h"
 #include "src/util/cpu_features.h"
 #include "src/util/mpmc_queue.h"
 #include "src/util/rng.h"
@@ -122,6 +123,19 @@ void BM_ResizeBilinear(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ResizeBilinear)->Arg(224)->Arg(64);
+
+// The rung-0 serving plan's resize: the 113x113 RGB centre crop of a 128 px
+// input down to 85x85, into a reused output as ExecutePlanInto runs it.
+void BM_ResizeRgbInto(benchmark::State& state) {
+  const Image img = BenchImage(static_cast<int>(state.range(0)));
+  Image out;
+  for (auto _ : state) {
+    ResizeBilinearInto(img, 85, 85, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ResizeRgbInto)->Arg(113);
 
 void BM_Dct8x8Roundtrip(benchmark::State& state) {
   Rng rng(3);

@@ -3,8 +3,77 @@
 #include <cstring>
 
 #include "src/util/macros.h"
+#include "src/util/simd.h"
 
 namespace smol {
+
+namespace {
+
+// Zig-zag scan position of each natural (row-major) index: kZigZag inverted.
+struct ZigZagPositions {
+  uint8_t of[64];
+  ZigZagPositions() {
+    for (int i = 0; i < 64; ++i) of[kZigZag[i]] = static_cast<uint8_t>(i);
+  }
+};
+const ZigZagPositions kZigZagPos;
+
+void StoreBlockScalar(const int16_t* samples, int n,
+                      std::vector<uint8_t>& plane, int plane_w, int plane_h,
+                      int bx, int by) {
+  for (int y = 0; y < n; ++y) {
+    const int sy = by + y;
+    if (sy >= plane_h) break;
+    for (int x = 0; x < n; ++x) {
+      const int sx = bx + x;
+      if (sx >= plane_w) break;
+      int v = samples[y * n + x] + 128;
+      if (v < 0) v = 0;
+      if (v > 255) v = 255;
+      plane[static_cast<size_t>(sy) * plane_w + sx] = static_cast<uint8_t>(v);
+    }
+  }
+}
+
+#if SMOL_SIMD_X86
+
+// Baseline SSE2 (so they inline into the decode loops), dispatched at the
+// SSE4 tier so a scalar cap still runs the reference loop. The level shift
+// is a saturating 16-bit add, which cannot wrap, and _mm_packus_epi16 then
+// clamps to [0, 255]: the scalar loop's result for every int16 sample.
+
+// Two 8-sample rows per pack.
+void StoreBlock8Sse2(const int16_t* samples, uint8_t* dst, size_t stride) {
+  const __m128i bias = _mm_set1_epi16(128);
+  for (int y = 0; y < 8; y += 2) {
+    const __m128i r0 = _mm_adds_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(samples + y * 8)),
+        bias);
+    const __m128i r1 = _mm_adds_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(samples + y * 8 + 8)),
+        bias);
+    const __m128i px = _mm_packus_epi16(r0, r1);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + y * stride), px);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + (y + 1) * stride),
+                     _mm_unpackhi_epi64(px, px));
+  }
+}
+
+// All four 4-sample rows in one pack.
+void StoreBlock4Sse2(const int16_t* samples, uint8_t* dst, size_t stride) {
+  const __m128i bias = _mm_set1_epi16(128);
+  const __m128i r01 = _mm_adds_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(samples)), bias);
+  const __m128i r23 = _mm_adds_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(samples + 8)), bias);
+  alignas(16) uint8_t px[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(px), _mm_packus_epi16(r01, r23));
+  for (int y = 0; y < 4; ++y) std::memcpy(dst + y * stride, px + y * 4, 4);
+}
+
+#endif  // SMOL_SIMD_X86
+
+}  // namespace
 
 int BitSize(int v) {
   int a = v < 0 ? -v : v;
@@ -60,6 +129,35 @@ void ReconstructBlock(const CoeffBlock& block, const QuantTable& qt,
   float dct[64];
   Dequantize(natural, qt, dct);
   InverseDct8x8(dct, out);
+}
+
+void ReconstructBlockScaled(const CoeffBlock& block, const QuantTable& qt,
+                            int n, int16_t* out) {
+  float dct[64];  // InverseDctScaled reads only the n x n corner written here
+  for (int v = 0; v < n; ++v) {
+    for (int u = 0; u < n; ++u) {
+      const int k = v * 8 + u;
+      dct[k] = static_cast<float>(block.zz[kZigZagPos.of[k]]) * qt.q[k];
+    }
+  }
+  InverseDctScaled(dct, n, out);
+}
+
+void StoreBlock(const int16_t* samples, int n, std::vector<uint8_t>& plane,
+                int plane_w, int plane_h, int bx, int by) {
+#if SMOL_SIMD_X86
+  if ((n == 8 || n == 4) && bx + n <= plane_w && by + n <= plane_h &&
+      simd::Sse4()) {
+    uint8_t* dst = plane.data() + static_cast<size_t>(by) * plane_w + bx;
+    if (n == 8) {
+      StoreBlock8Sse2(samples, dst, static_cast<size_t>(plane_w));
+    } else {
+      StoreBlock4Sse2(samples, dst, static_cast<size_t>(plane_w));
+    }
+    return;
+  }
+#endif
+  StoreBlockScalar(samples, n, plane, plane_w, plane_h, bx, by);
 }
 
 void AccumulateBlockStats(const CoeffBlock& block, int* dc_pred,

@@ -37,6 +37,21 @@ CoeffBlock TransformBlock(const int16_t samples[64], const QuantTable& qt);
 void ReconstructBlock(const CoeffBlock& block, const QuantTable& qt,
                       int16_t out[64]);
 
+/// Dequantization + scaled inverse DCT of one block: the n x n (n in {1, 2,
+/// 4}) level-shifted samples InverseDctScaled reconstructs from the top-left
+/// n x n coefficients. Only those n*n coefficients are dezigzagged and
+/// dequantized, with the same products as Dequantize.
+void ReconstructBlockScaled(const CoeffBlock& block, const QuantTable& qt,
+                            int n, int16_t* out);
+
+/// Stores an n x n block of level-shifted samples (row-major) into \p plane
+/// at (bx, by): adds the 128 level shift back and saturates to [0, 255],
+/// clipping the block to the plane. Unclipped 8x8 and 4x4 blocks store whole
+/// rows with SIMD; the per-pixel loop is the reference and runs for other
+/// blocks and under ScopedSimdLevelCap(kScalar).
+void StoreBlock(const int16_t* samples, int n, std::vector<uint8_t>& plane,
+                int plane_w, int plane_h, int bx, int by);
+
 /// First-pass Huffman statistics for one block (DC diff + AC run/size).
 /// \p dc_freq must have >= 17 entries, \p ac_freq >= 256.
 void AccumulateBlockStats(const CoeffBlock& block, int* dc_pred,

@@ -17,8 +17,9 @@ Status CropImageInto(const Image& src, const Roi& roi, Image* out) {
     return Status::InvalidArgument("bad crop destination");
   }
   if (roi.empty()) return Status::InvalidArgument("empty ROI");
-  if (roi.x < 0 || roi.y < 0 || roi.x + roi.width > src.width() ||
-      roi.y + roi.height > src.height()) {
+  // Compared without forming roi.x + roi.width, which can overflow int.
+  if (roi.x < 0 || roi.y < 0 || roi.width > src.width() - roi.x ||
+      roi.height > src.height() - roi.y) {
     return Status::OutOfRange("ROI exceeds image bounds");
   }
   out->Reshape(roi.width, roi.height, src.channels());

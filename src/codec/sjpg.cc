@@ -18,39 +18,6 @@ namespace {
 
 constexpr uint32_t kMagic = 0x3150'4A53;  // "SJP1" little-endian.
 
-// Stores a reconstructed n x n block back into a plane (clipping to bounds),
-// undoing the level shift. n == 8 for full decode, smaller for scaled decode.
-void StoreBlockN(const int16_t* block, int n, std::vector<uint8_t>& plane,
-                 int plane_w, int plane_h, int bx, int by) {
-  for (int y = 0; y < n; ++y) {
-    const int sy = by + y;
-    if (sy >= plane_h) break;
-    for (int x = 0; x < n; ++x) {
-      const int sx = bx + x;
-      if (sx >= plane_w) break;
-      int v = block[y * n + x] + 128;
-      if (v < 0) v = 0;
-      if (v > 255) v = 255;
-      plane[static_cast<size_t>(sy) * plane_w + sx] = static_cast<uint8_t>(v);
-    }
-  }
-}
-
-void StoreBlock(const int16_t block[64], std::vector<uint8_t>& plane,
-                int plane_w, int plane_h, int bx, int by) {
-  StoreBlockN(block, 8, plane, plane_w, plane_h, bx, by);
-}
-
-// Dequantizes and applies the scaled inverse transform (n x n output).
-void ReconstructBlockScaled(const CoeffBlock& block, const QuantTable& qt,
-                            int n, int16_t* out) {
-  int16_t natural[64];
-  for (int i = 0; i < 64; ++i) natural[kZigZag[i]] = block.zz[i];
-  float dct[64];
-  Dequantize(natural, qt, dct);
-  InverseDctScaled(dct, n, out);
-}
-
 struct PlaneSet {
   std::vector<uint8_t> y, cb, cr;
   int w = 0, h = 0, cw = 0, ch = 0;
@@ -322,7 +289,7 @@ Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
 
   const EntropyTables tables(ps);
   BitReader reader(bytes.data(), bytes.size());
-  std::vector<int16_t> scaled(static_cast<size_t>(n) * n);
+  int16_t scaled[64];
   for (int mr = 0; mr < hdr.mcu_rows; ++mr) {
     SMOL_RETURN_IF_ERROR(
         reader.SeekToByte(ps.entropy_base + ps.row_offsets[mr]));
@@ -338,15 +305,14 @@ Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
           stats->idct_blocks++;  // counted, but each costs ~n^2/64 of full
         }
         if (ref.component == 0) {
-          ReconstructBlockScaled(cb, ps.luma_qt, n, scaled.data());
-          StoreBlockN(scaled.data(), n, planes.y, planes.w, planes.h,
-                      mc * (color ? 2 * n : n) + ref.dx / denom,
-                      mr * (color ? 2 * n : n) + ref.dy / denom);
+          ReconstructBlockScaled(cb, ps.luma_qt, n, scaled);
+          StoreBlock(scaled, n, planes.y, planes.w, planes.h,
+                     mc * (color ? 2 * n : n) + ref.dx / denom,
+                     mr * (color ? 2 * n : n) + ref.dy / denom);
         } else {
-          ReconstructBlockScaled(cb, ps.chroma_qt, n, scaled.data());
+          ReconstructBlockScaled(cb, ps.chroma_qt, n, scaled);
           auto& plane = ref.component == 1 ? planes.cb : planes.cr;
-          StoreBlockN(scaled.data(), n, plane, planes.cw, planes.ch, mc * n,
-                      mr * n);
+          StoreBlock(scaled, n, plane, planes.cw, planes.ch, mc * n, mr * n);
         }
       }
     }
@@ -415,8 +381,10 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
   // Determine the band of MCU rows/cols to decode.
   Roi roi = options.roi;
   if (!roi.empty()) {
-    if (roi.x < 0 || roi.y < 0 || roi.x + roi.width > hdr.width ||
-        roi.y + roi.height > hdr.height) {
+    // The ROI comes from the request: compare without forming roi.x +
+    // roi.width, which can overflow int.
+    if (roi.x < 0 || roi.y < 0 || roi.width > hdr.width - roi.x ||
+        roi.height > hdr.height - roi.y) {
       return Status::OutOfRange("ROI exceeds image bounds");
     }
   } else if (options.max_rows > 0) {
@@ -467,12 +435,12 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
         int16_t samples[64];
         if (ref.component == 0) {
           ReconstructBlock(cb, ps.luma_qt, samples);
-          StoreBlock(samples, planes.y, planes.w, planes.h,
+          StoreBlock(samples, 8, planes.y, planes.w, planes.h,
                      (mc - mc0) * mcu + ref.dx, (mr - mr0) * mcu + ref.dy);
         } else {
           ReconstructBlock(cb, ps.chroma_qt, samples);
           auto& plane = ref.component == 1 ? planes.cb : planes.cr;
-          StoreBlock(samples, plane, planes.cw, planes.ch, (mc - mc0) * 8,
+          StoreBlock(samples, 8, plane, planes.cw, planes.ch, (mc - mc0) * 8,
                      (mr - mr0) * 8);
         }
       }

@@ -207,21 +207,6 @@ void StoreResidual(const int16_t res[64], const uint8_t* pred,
   }
 }
 
-// Stores intra samples (level shift +128).
-void StoreIntra(const int16_t block[64], std::vector<uint8_t>& plane, int w,
-                int h, int bx, int by) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by + y;
-    if (sy >= h) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx + x;
-      if (sx >= w) break;
-      plane[static_cast<size_t>(sy) * w + sx] =
-          static_cast<uint8_t>(Clamp(block[y * 8 + x] + 128, 0, 255));
-    }
-  }
-}
-
 // Encodes a signed MV component (size category + value bits, like DC diffs).
 void WriteMvComponent(BitWriter* writer, int v) {
   const int size = BitSize(v);
@@ -323,12 +308,13 @@ Result<std::vector<uint8_t>> Sv264Encode(const std::vector<Image>& frames,
           for (int b = 0; b < 4; ++b) {
             int16_t rec[64];
             ReconstructBlock(mb.blocks[b], luma_qt, rec);
-            StoreIntra(rec, recon.y, w, h, bx + (b % 2) * 8, by + (b / 2) * 8);
+            StoreBlock(rec, 8, recon.y, w, h, bx + (b % 2) * 8,
+                       by + (b / 2) * 8);
           }
           for (int b = 4; b < 6; ++b) {
             int16_t rec[64];
             ReconstructBlock(mb.blocks[b], chroma_qt, rec);
-            StoreIntra(rec, b == 4 ? recon.cb : recon.cr, cw, ch, mc * 8,
+            StoreBlock(rec, 8, b == 4 ? recon.cb : recon.cr, cw, ch, mc * 8,
                        mr * 8);
           }
           continue;
@@ -618,10 +604,10 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
         ReconstructBlock(cb, b < 4 ? luma_qt : chroma_qt, rec);
         if (mode == kModeIntra) {
           if (b < 4) {
-            StoreIntra(rec, recon.y, w, h, bx + (b % 2) * 8,
+            StoreBlock(rec, 8, recon.y, w, h, bx + (b % 2) * 8,
                        by + (b / 2) * 8);
           } else {
-            StoreIntra(rec, b == 4 ? recon.cb : recon.cr, cw, ch, mc * 8,
+            StoreBlock(rec, 8, b == 4 ? recon.cb : recon.cr, cw, ch, mc * 8,
                        mr * 8);
           }
         } else {

@@ -190,6 +190,39 @@ SMOL_TARGET_AVX2 void HLerpU8Avx2(const float* vrow, const Taps& tx, int out_w,
   }
 }
 
+// 3-channel rows without gathers: one output pixel per step, its three
+// channels lerped in the low lanes of two unaligned 4-float loads at the
+// taps. The fourth lane reads the next source pixel's first channel (at the
+// right edge, the initialized float past the row's end) and is discarded.
+// Each pixel stores 4 bytes and the next pixel overwrites the extra one; the
+// last stores exactly 3. The lerp is an explicit fmadd because the compiler
+// contracts HLerpU8Avx2's lerp into one, so both kernels round alike.
+SMOL_TARGET_AVX2 inline int32_t LerpRgbPixelAvx2(const float* s0,
+                                                 const float* s1, float wx) {
+  const __m128 a = _mm_loadu_ps(s0);
+  const __m128 b = _mm_loadu_ps(s1);
+  const __m128 v = _mm_fmadd_ps(_mm_sub_ps(b, a), _mm_set1_ps(wx), a);
+  const __m128i iv = _mm_cvttps_epi32(
+      _mm_min_ps(_mm_add_ps(v, _mm_set1_ps(0.5f)), _mm_set1_ps(255.0f)));
+  const __m128i i16 = _mm_packs_epi32(iv, iv);
+  return _mm_cvtsi128_si32(_mm_packus_epi16(i16, i16));
+}
+
+SMOL_TARGET_AVX2 void HLerpRgbAvx2(const float* vrow, const Taps& tx,
+                                   int out_w, uint8_t* dst) {
+  int x = 0;
+  for (; x + 1 < out_w; ++x) {
+    const int32_t px =
+        LerpRgbPixelAvx2(vrow + tx.i0[x], vrow + tx.i1[x], tx.w[x]);
+    std::memcpy(dst + x * 3, &px, 4);
+  }
+  if (x < out_w) {
+    const int32_t px =
+        LerpRgbPixelAvx2(vrow + tx.i0[x], vrow + tx.i1[x], tx.w[x]);
+    std::memcpy(dst + x * 3, &px, 3);
+  }
+}
+
 SMOL_TARGET_AVX2 void HLerpF32Avx2(const float* vrow, const Taps& tx,
                                    int out_w, int c, float* dst) {
   alignas(32) float buf[8];
@@ -241,7 +274,8 @@ void ResizeBilinearInto(const Image& src, int out_w, int out_h, Image* dst) {
   const int row_elems = src.width() * c;
   const Taps tx = MakeTaps(src.width(), out_w, c);
   const Taps ty = MakeTaps(src.height(), out_h, 1);
-  std::vector<float> vrow(row_elems);
+  // One zeroed float past the row for HLerpRgbAvx2's fourth lane.
+  std::vector<float> vrow(row_elems + 1);
 #if SMOL_SIMD_X86
   const bool avx2 = simd::Avx2();
   const bool sse4 = simd::Sse4();
@@ -253,7 +287,11 @@ void ResizeBilinearInto(const Image& src, int out_w, int out_h, Image* dst) {
 #if SMOL_SIMD_X86
     if (avx2) {
       VBlendU8Avx2(r0, r1, wy, row_elems, vrow.data());
-      HLerpU8Avx2(vrow.data(), tx, out_w, c, dst->row(y));
+      if (c == 3) {
+        HLerpRgbAvx2(vrow.data(), tx, out_w, dst->row(y));
+      } else {
+        HLerpU8Avx2(vrow.data(), tx, out_w, c, dst->row(y));
+      }
       continue;
     }
     if (sse4) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -270,6 +271,49 @@ TEST(DctTest, QuantizeDequantizeRoundtrip) {
   }
 }
 
+// ReconstructBlockScaled as it was before it read only the n x n corner:
+// dezigzag and dequantize all 64 coefficients, then InverseDctScaled.
+void ReferenceReconstructBlockScaled(const CoeffBlock& block,
+                                     const QuantTable& qt, int n,
+                                     int16_t* out) {
+  int16_t natural[64];
+  for (int i = 0; i < 64; ++i) natural[kZigZag[i]] = block.zz[i];
+  float dct[64];
+  Dequantize(natural, qt, dct);
+  InverseDctScaled(dct, n, out);
+}
+
+TEST(DctTest, ScaledReconstructMatchesFullDequantizeReference) {
+  Rng rng(9);
+  for (int quality : {5, 50, 85, 100}) {
+    for (const QuantTable& qt :
+         {QuantTable::Luma(quality), QuantTable::Chroma(quality)}) {
+      for (int trial = 0; trial < 200; ++trial) {
+        // Dense to sparse blocks; magnitudes up to the 11-bit AC range so
+        // some blocks clamp at the IDCT's [-256, 255].
+        const double zero_share = rng.UniformDouble();
+        const int64_t magnitude = int64_t{1} << rng.UniformInt(1, 11);
+        CoeffBlock block;
+        for (int16_t& c : block.zz) {
+          c = rng.Bernoulli(zero_share) ? 0
+                                        : static_cast<int16_t>(rng.UniformInt(
+                                              -magnitude, magnitude - 1));
+        }
+        for (int n : {1, 2, 4}) {
+          int16_t want[16];
+          int16_t got[16];
+          ReferenceReconstructBlockScaled(block, qt, n, want);
+          ReconstructBlockScaled(block, qt, n, got);
+          for (int i = 0; i < n * n; ++i) {
+            ASSERT_EQ(want[i], got[i]) << "quality " << quality << " trial "
+                                       << trial << " n " << n << " i " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Color -----------------------------------------------------------------------
 
 TEST(ColorTest, ScalarRoundtripIsClose) {
@@ -336,6 +380,16 @@ TEST(ImageTest, CropRejectsOutOfBounds) {
   EXPECT_FALSE(CropImage(img, Roi{8, 8, 4, 4}).ok());
   EXPECT_FALSE(CropImage(img, Roi{-1, 0, 4, 4}).ok());
   EXPECT_FALSE(CropImage(img, Roi{0, 0, 0, 0}).ok());
+}
+
+// roi.x + roi.width (or y + height) past INT_MAX must not wrap into range.
+TEST(ImageTest, CropRejectsRoiWhoseEndOverflows) {
+  const Image img(10, 10, 1);
+  constexpr int kFar = std::numeric_limits<int>::max() - 7;
+  EXPECT_EQ(CropImage(img, Roi{kFar, 0, 16, 16}).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(CropImage(img, Roi{0, kFar, 16, 16}).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(ImageTest, CenterCropCentersAndClamps) {
@@ -465,6 +519,19 @@ TEST(SjpgTest, RoiOutOfBoundsRejected) {
   SjpgDecodeOptions opts;
   opts.roi = Roi{32, 32, 64, 64};
   EXPECT_FALSE(SjpgDecode(bytes, opts).ok());
+}
+
+// The ROI comes from the request: an end past INT_MAX is OutOfRange, not a
+// wrapped bounds check and a decode far outside the planes.
+TEST(SjpgTest, RoiWhoseEndOverflowsRejected) {
+  const Image img = MakeTestImage(64, 64, 3);
+  ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img));
+  constexpr int kFar = std::numeric_limits<int>::max() - 7;
+  SjpgDecodeOptions opts;
+  opts.roi = Roi{kFar, 0, 16, 16};
+  EXPECT_EQ(SjpgDecode(bytes, opts).status().code(), StatusCode::kOutOfRange);
+  opts.roi = Roi{0, kFar, 16, 16};
+  EXPECT_EQ(SjpgDecode(bytes, opts).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(SjpgTest, CorruptStreamsRejectedNotCrashing) {

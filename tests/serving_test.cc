@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -383,6 +384,27 @@ TEST_F(ServingTest, NullBytesRejectedAtSubmit) {
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+}
+
+// An ROI whose end overflows int (x + width past INT_MAX) fails its own
+// request with OutOfRange, counted in failed, instead of crashing the decoder
+// on a worker thread; the next request is served.
+TEST_F(ServingTest, HostileRoiFailsItsRequestAndServingContinues) {
+  ServerOptions opts;
+  Server server(opts, spec_, DecodeSjpg, MakeAccel(1e5));
+  InferenceRequest hostile = Item(5);
+  hostile.roi = Roi{std::numeric_limits<int>::max() - 7, 0, 16, 16};
+  const InferenceReply reply = server.Submit(hostile).get();
+  EXPECT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(reply.label, 5);
+  EXPECT_TRUE(server.Submit(Item(6)).get().ok());
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.shed, 0u);
 }
 

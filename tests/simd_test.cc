@@ -8,12 +8,14 @@
 // differ by 1 LSB where FMA contraction shifts a result across a rounding
 // boundary; float-output kernels use a ULP-scaled tolerance.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/codec/block_codec.h"
 #include "src/codec/color.h"
 #include "src/codec/dct.h"
 #include "src/codec/image.h"
@@ -298,6 +300,100 @@ TEST(SimdParityTest, DctForwardAndInverse) {
       for (int i = 0; i < 64; ++i) {
         ASSERT_NEAR(ref_out[i], got_out[i], 1)
             << "inverse, level=" << SimdLevelName(level) << " index " << i;
+      }
+    }
+  }
+}
+
+// --- Exact kernels -----------------------------------------------------------
+// Kernels whose SIMD paths must reproduce the scalar reference byte for byte.
+
+// The SJPG/SV264 block store: interior blocks take the SIMD row store,
+// blocks clipped at the plane's right or bottom edge the scalar loop. Every
+// block position on each plane, fresh samples each time. The IDCTs clamp
+// samples to [-256, 255]; the store is also exact over all of int16.
+TEST(SimdExactTest, BlockStoreMatchesScalar) {
+  Rng rng(19);
+  const int planes[][2] = {{16, 16}, {13, 11}, {20, 9}, {8, 8}, {4, 3}};
+  for (int n : {8, 4}) {
+    for (const auto& p : planes) {
+      const int w = p[0];
+      const int h = p[1];
+      for (int by = 0; by < h; ++by) {
+        for (int bx = 0; bx < w; ++bx) {
+          const bool wide = rng.Bernoulli(0.25);
+          std::vector<int16_t> samples(static_cast<size_t>(n) * n);
+          for (int16_t& v : samples) {
+            v = static_cast<int16_t>(wide ? rng.UniformInt(-32768, 32767)
+                                          : rng.UniformInt(-256, 255));
+          }
+          samples[rng.UniformInt(0, n * n - 1)] = -256;
+          samples[rng.UniformInt(0, n * n - 1)] = 255;
+          std::vector<uint8_t> base(static_cast<size_t>(w) * h);
+          for (uint8_t& v : base) {
+            v = static_cast<uint8_t>(rng.UniformInt(0, 255));
+          }
+          std::vector<uint8_t> ref = base;
+          {
+            ScopedSimdLevelCap cap(SimdLevel::kScalar);
+            StoreBlock(samples.data(), n, ref, w, h, bx, by);
+          }
+          for (SimdLevel level : WiderLevels()) {
+            ScopedSimdLevelCap cap(level);
+            std::vector<uint8_t> got = base;
+            StoreBlock(samples.data(), n, got, w, h, bx, by);
+            ASSERT_EQ(ref, got) << "n=" << n << " plane " << w << "x" << h
+                                << " at (" << bx << ", " << by
+                                << ") level=" << SimdLevelName(level);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Each channel of a 3-channel resize is the 1-channel resize of that
+// channel, byte for byte, at every level: the RGB pass rounds like the
+// general one. Covers the rung-0 plan's 113 -> 85, random shapes both ways,
+// and every output width from 1 to 18 (the last pixel's 3-byte store).
+TEST(SimdExactTest, RgbResizeEqualsThreePlaneResizes) {
+  Rng rng(20);
+  std::vector<std::array<int, 4>> shapes = {{113, 113, 85, 85},
+                                            {128, 128, 96, 96}};
+  for (int out_w = 1; out_w <= 18; ++out_w) {
+    shapes.push_back({static_cast<int>(rng.UniformInt(1, 40)),
+                      static_cast<int>(rng.UniformInt(1, 9)), out_w,
+                      static_cast<int>(rng.UniformInt(1, 9))});
+  }
+  for (int i = 0; i < 24; ++i) {
+    shapes.push_back({static_cast<int>(rng.UniformInt(1, 130)),
+                      static_cast<int>(rng.UniformInt(1, 40)),
+                      static_cast<int>(rng.UniformInt(1, 130)),
+                      static_cast<int>(rng.UniformInt(1, 40))});
+  }
+  std::vector<SimdLevel> levels = WiderLevels();
+  levels.insert(levels.begin(), SimdLevel::kScalar);
+  for (const auto& s : shapes) {
+    const Image src = RandomImage(&rng, s[0], s[1], 3);
+    Image planes[3];
+    for (int ch = 0; ch < 3; ++ch) {
+      planes[ch] = Image(s[0], s[1], 1);
+      for (size_t i = 0; i < planes[ch].size_bytes(); ++i) {
+        planes[ch].data()[i] = src.data()[i * 3 + ch];
+      }
+    }
+    for (SimdLevel level : levels) {
+      ScopedSimdLevelCap cap(level);
+      const Image rgb = ResizeBilinear(src, s[2], s[3]);
+      for (int ch = 0; ch < 3; ++ch) {
+        const Image gray = ResizeBilinear(planes[ch], s[2], s[3]);
+        ASSERT_EQ(gray.size_bytes() * 3, rgb.size_bytes());
+        for (size_t i = 0; i < gray.size_bytes(); ++i) {
+          ASSERT_EQ(rgb.data()[i * 3 + ch], gray.data()[i])
+              << s[0] << "x" << s[1] << " -> " << s[2] << "x" << s[3]
+              << " level=" << SimdLevelName(level) << " pixel " << i
+              << " channel " << ch;
+        }
       }
     }
   }
