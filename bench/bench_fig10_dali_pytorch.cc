@@ -30,10 +30,10 @@ double RunBaseline(const SysoptWorkload& workload, RuntimeBaseline baseline,
   Server server(
       BatchRunOptions(BaselinePipelineOptions(baseline, producers)),
       workload.spec,
-      AdaptDecodeFn([overhead_us](const WorkItem& item) {
+      [overhead_us](const WorkItem& item, Image* out) {
         if (overhead_us > 0) BusyWorkMicros(overhead_us);
-        return SjpgDecode(*item.bytes);
-      }),
+        return SjpgDecodeInto(*item.bytes, {}, out);
+      },
       accel);
   auto stats = RunToCompletion(server, workload.items);
   return stats.ok() ? stats->throughput_ims : 0.0;

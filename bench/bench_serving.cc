@@ -72,7 +72,7 @@ LoadPoint RunOpenLoop(const SysoptWorkload& workload, double rate_ims,
   opts.max_batch = 16;
   opts.admission_capacity = 256;
   opts.overload = OverloadPolicy::kShed;
-  Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode),
+  Server server(opts, workload.spec, SysoptDecode,
                 std::make_shared<SimAccelerator>(aopts));
 
   // Poisson arrival times, laid out up front against absolute time so sleep
@@ -145,9 +145,8 @@ AdaptiveBurstResult RunAdaptiveBurst(const SysoptWorkload& workload,
     // Full fidelity plus two cheaper rungs; the 0.55x rung also decodes at
     // half resolution straight from the DCT domain.
     opts.adaptive.ladder_scales = {1.0, 0.75, 0.55};
-    opts.adaptive.controller.sample_interval_us = 5000.0;
   }
-  Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode),
+  Server server(opts, workload.spec, SysoptDecode,
                 std::make_shared<SimAccelerator>(aopts));
 
   std::atomic<uint64_t> ok{0}, within{0}, degraded{0};
@@ -238,7 +237,7 @@ ServerStats RunClosedLoopFleet(const SysoptWorkload& workload,
   opts.dispatch = policy;
   opts.shard_queue_capacity = 32;
   opts.devices = std::move(devices);
-  Server server(opts, workload.spec, AdaptDecodeFn(SysoptDecode), nullptr);
+  Server server(opts, workload.spec, SysoptDecode, nullptr);
   for (int i = 0; i < num_requests; ++i) {
     server.Submit(
         workload.items[static_cast<size_t>(i) % workload.items.size()],

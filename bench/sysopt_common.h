@@ -52,12 +52,12 @@ inline SysoptWorkload MakeSysoptWorkload(int count, int size,
 
 /// The standard bench decode: honors a request ROI, and the adaptive
 /// ladder's multi-resolution lever on full-frame requests (the codec rejects
-/// combining scale_denom with an ROI).
-inline Result<Image> SysoptDecode(const WorkItem& item) {
+/// combining scale_denom with an ROI). Emits into the worker's scratch image.
+inline Status SysoptDecode(const WorkItem& item, Image* out) {
   SjpgDecodeOptions opts;
   opts.roi = item.roi;
   if (item.roi.empty()) opts.scale_denom = item.decode_scale_denom;
-  return SjpgDecode(*item.bytes, opts);
+  return SjpgDecodeInto(*item.bytes, opts, out);
 }
 
 /// Server options of a one-shot batch run over \p pipeline: batches of up
@@ -83,8 +83,7 @@ inline double RunSysoptOnce(const SysoptWorkload& workload,
   // One consumer is plenty (it mostly sleeps in the simulator) and keeps the
   // thread count at producers+1 so producers are not descheduled.
   pipeline.num_consumers = 1;
-  Server server(BatchRunOptions(pipeline), workload.spec,
-                AdaptDecodeFn(SysoptDecode),
+  Server server(BatchRunOptions(pipeline), workload.spec, SysoptDecode,
                 std::make_shared<SimAccelerator>(aopts));
   auto stats = RunToCompletion(server, workload.items);
   return stats.ok() ? stats->throughput_ims : 0.0;

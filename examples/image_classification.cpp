@@ -107,12 +107,15 @@ int main() {
   opts.max_batch = 16;
   opts.admission_capacity = 64;
   opts.overload = OverloadPolicy::kBlock;
-  Server server(opts, pspec,
-                AdaptDecodeFn([&](const WorkItem& item) {
-                  return ImageDataset::DecodeStored(
-                      StoredImage{*item.bytes, item.label}, plan->format);
-                }),
-                accel);
+  Server server(
+      opts, pspec,
+      [&](const WorkItem& item, Image* out) -> Status {
+        SMOL_ASSIGN_OR_RETURN(
+            *out, ImageDataset::DecodeStored(
+                      StoredImage{*item.bytes, item.label}, plan->format));
+        return Status::OK();
+      },
+      accel);
   auto stats = RunToCompletion(server, requests);
   SMOL_CHECK_OK(stats.status());
   std::printf("Runtime: %llu images at %.0f im/s measured on this host "

@@ -214,7 +214,6 @@ int main() {
     opts.admission_capacity = 16;
     opts.overload = OverloadPolicy::kBlock;
     opts.adaptive.ladder_scales = {1.0, 0.75, 0.55};
-    opts.adaptive.controller.sample_interval_us = 2000.0;
     Server server(opts, spec, DecodeSjpg,
                   std::make_shared<SimAccelerator>(slow));
 

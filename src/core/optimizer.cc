@@ -1,6 +1,6 @@
 #include "src/core/optimizer.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/util/macros.h"
 
@@ -124,31 +124,6 @@ Result<QueryPlan> SmolOptimizer::SelectPlan(const Inputs& inputs,
     return Status::Infeasible("no plan satisfies the requested constraints");
   }
   return *best;
-}
-
-Result<std::vector<SmolOptimizer::FrontierRung>> SmolOptimizer::FrontierLadder(
-    const Inputs& inputs) {
-  SMOL_ASSIGN_OR_RETURN(auto frontier, ParetoPlans(inputs));
-  // ParetoFrontier orders by throughput descending; the ladder degrades from
-  // best accuracy, so walk it in reverse. On a frontier, accuracy descending
-  // == throughput ascending, so rungs end up monotone in both.
-  std::sort(frontier.begin(), frontier.end(),
-            [](const QueryPlan& a, const QueryPlan& b) {
-              return a.accuracy > b.accuracy;
-            });
-  std::vector<FrontierRung> ladder;
-  ladder.reserve(frontier.size());
-  const double base_tput = frontier.front().throughput_ims;
-  const double base_acc = frontier.front().accuracy;
-  for (QueryPlan& plan : frontier) {
-    FrontierRung rung;
-    rung.relative_throughput =
-        base_tput > 0.0 ? plan.throughput_ims / base_tput : 1.0;
-    rung.accuracy_drop = base_acc - plan.accuracy;
-    rung.plan = std::move(plan);
-    ladder.push_back(std::move(rung));
-  }
-  return ladder;
 }
 
 }  // namespace smol

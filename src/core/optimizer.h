@@ -55,22 +55,6 @@ class SmolOptimizer {
   /// constraints return StatusCode::kInfeasible.
   static Result<QueryPlan> SelectPlan(const Inputs& inputs,
                                       const PlanConstraints& constraints);
-
-  /// \brief One rung of the degradation ladder exported by FrontierLadder.
-  struct FrontierRung {
-    QueryPlan plan;
-    /// Estimated throughput relative to rung 0 (>= 1.0; rung 0 is 1.0).
-    double relative_throughput = 1.0;
-    /// Accuracy given up vs rung 0 (>= 0.0; rung 0 is 0.0).
-    double accuracy_drop = 0.0;
-  };
-
-  /// The Pareto frontier re-expressed as a degradation ladder for adaptive
-  /// serving: rung 0 is the most accurate frontier plan, later rungs trade
-  /// accuracy for throughput monotonically. Each rung carries its throughput
-  /// gain and accuracy cost relative to rung 0 so a serving-side controller
-  /// can map rungs onto concrete pipeline configurations.
-  static Result<std::vector<FrontierRung>> FrontierLadder(const Inputs& inputs);
 };
 
 }  // namespace smol

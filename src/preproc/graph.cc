@@ -26,26 +26,37 @@ struct Geometry {
   int height;
 };
 
-// Applies the geometric effect of a step.
+// The geometry a step leaves behind, as ExecutePlan computes it: a resize
+// with arg1 > 0 goes to exactly arg0 x arg1, otherwise its short side goes
+// to arg0; a crop clamps to the image, and arg0 == -1 (crop-before-resize)
+// takes the spec's crop share of the current short side.
 Geometry StepGeometry(const PipelineSpec& spec, const PlanStep& step,
                       Geometry g) {
   switch (step.kind) {
     case OpKind::kResize: {
-      const int cur_short = std::min(g.width, g.height);
+      if (step.arg1 > 0) return {step.arg0, step.arg1};
       const double scale = static_cast<double>(step.arg0) /
-                           std::max(1, cur_short);
-      g.width = std::max(1, static_cast<int>(std::lround(g.width * scale)));
-      g.height = std::max(1, static_cast<int>(std::lround(g.height * scale)));
-      return g;
+                           std::max(1, std::min(g.width, g.height));
+      return {std::max(1, static_cast<int>(std::lround(g.width * scale))),
+              std::max(1, static_cast<int>(std::lround(g.height * scale)))};
     }
-    case OpKind::kCrop:
-      g.width = std::min(g.width, step.arg0);
-      g.height = std::min(g.height, step.arg1);
-      return g;
+    case OpKind::kCrop: {
+      int cw = step.arg0;
+      int ch = step.arg1;
+      if (cw == -1) {
+        const double short_side = std::min(g.width, g.height);
+        const auto share = [&](int crop) {
+          return std::max(1, static_cast<int>(std::lround(
+                                 short_side * crop / spec.resize_short_side)));
+        };
+        cw = share(spec.crop_width);
+        ch = share(spec.crop_height);
+      }
+      return {std::min(g.width, cw), std::min(g.height, ch)};
+    }
     default:
-      return g;
+      return g;  // dtype/layout ops leave geometry unchanged
   }
-  (void)spec;
 }
 
 // The four orderable tail ops. Decode is always first (it produces pixels);
@@ -143,36 +154,15 @@ double PreprocOptimizer::EstimateCost(const PipelineSpec& spec,
       case OpKind::kDecode:
         // Decode cost is charged by the codec, not the DAG optimizer.
         break;
-      case OpKind::kResize: {
-        Geometry out = StepGeometry(spec, step, g);
-        cost += 8.0 * out.width * out.height * c * dtype_mult();
-        g = out;
+      case OpKind::kResize:
+        g = StepGeometry(spec, step, g);
+        cost += 8.0 * g.width * g.height * c * dtype_mult();
         break;
-      }
-      case OpKind::kCrop: {
-        Geometry out = g;
-        if (step.arg0 == -1) {
-          // Scaled crop (crop-before-resize): output keeps the crop's share
-          // of the final geometry, scaled back to current resolution.
-          const double frac_w =
-              static_cast<double>(spec.crop_width) / spec.resize_short_side;
-          const double frac_h =
-              static_cast<double>(spec.crop_height) / spec.resize_short_side;
-          out.width = std::max(
-              1, static_cast<int>(std::lround(std::min(g.width, g.height) *
-                                              frac_w)));
-          out.height = std::max(
-              1, static_cast<int>(std::lround(std::min(g.width, g.height) *
-                                              frac_h)));
-        } else {
-          out.width = std::min(g.width, step.arg0);
-          out.height = std::min(g.height, step.arg1);
-        }
+      case OpKind::kCrop:
         // Crop is a copy: 1 op per output element.
-        cost += 1.0 * out.width * out.height * c * dtype_mult();
-        g = out;
+        g = StepGeometry(spec, step, g);
+        cost += 1.0 * g.width * g.height * c * dtype_mult();
         break;
-      }
       case OpKind::kConvertFloat:
         cost += 2.0 * g.width * g.height * c;  // widen + scale
         dtype = DataType::kF32;
@@ -349,47 +339,14 @@ Result<size_t> PlanOutputFloats(const PreprocPlan& plan,
   if (width <= 0 || height <= 0 || channels <= 0) {
     return Status::InvalidArgument("bad input geometry");
   }
-  int w = width;
-  int h = height;
+  Geometry g{width, height};
   for (const PlanStep& step : plan.steps) {
-    switch (step.kind) {
-      case OpKind::kResize: {
-        if (step.arg0 <= 0) return Status::InvalidArgument("bad resize target");
-        if (step.arg1 > 0) {
-          w = step.arg0;
-          h = step.arg1;
-        } else {
-          const int cur_short = std::min(w, h);
-          const double scale =
-              static_cast<double>(step.arg0) / std::max(1, cur_short);
-          w = std::max(1, static_cast<int>(std::lround(w * scale)));
-          h = std::max(1, static_cast<int>(std::lround(h * scale)));
-        }
-        break;
-      }
-      case OpKind::kCrop: {
-        int cw = step.arg0;
-        int ch = step.arg1;
-        if (cw == -1) {
-          const int short_side = std::min(w, h);
-          cw = std::max(
-              1, static_cast<int>(std::lround(
-                     short_side * static_cast<double>(spec.crop_width) /
-                     spec.resize_short_side)));
-          ch = std::max(
-              1, static_cast<int>(std::lround(
-                     short_side * static_cast<double>(spec.crop_height) /
-                     spec.resize_short_side)));
-        }
-        w = std::min(w, cw);
-        h = std::min(h, ch);
-        break;
-      }
-      default:
-        break;  // dtype/layout ops leave geometry unchanged
+    if (step.kind == OpKind::kResize && step.arg0 <= 0) {
+      return Status::InvalidArgument("bad resize target");
     }
+    g = StepGeometry(spec, step, g);
   }
-  return static_cast<size_t>(w) * static_cast<size_t>(h) *
+  return static_cast<size_t>(g.width) * static_cast<size_t>(g.height) *
          static_cast<size_t>(channels);
 }
 

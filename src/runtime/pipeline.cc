@@ -1,20 +1,8 @@
 #include "src/runtime/pipeline.h"
 
-#include <utility>
-
 #include "src/util/tensor_cache.h"
 
 namespace smol {
-
-DecodeIntoFn AdaptDecodeFn(DecodeFn decode) {
-  return [decode = std::move(decode)](const WorkItem& item,
-                                      Image* out) -> Status {
-    auto decoded = decode(item);
-    if (!decoded.ok()) return decoded.status();
-    *out = std::move(decoded).MoveValue();
-    return Status::OK();
-  };
-}
 
 PreprocPlan CompilePipelinePlan(const PipelineSpec& spec,
                                 bool enable_dag_opt) {

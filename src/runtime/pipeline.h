@@ -7,8 +7,8 @@
 //   buffer -> coalesced batch -> simulated accelerator
 //
 // This header holds what more than one of those users names: the decode
-// descriptor the server hands the decoder, the two decoder flavours, and
-// plan compilation plus its cache fingerprint. The stage bodies themselves
+// descriptor the server hands the decoder, the decoder signature, and plan
+// compilation plus its cache fingerprint. The stage bodies themselves
 // live in runtime/server.cc.
 #ifndef SMOL_RUNTIME_PIPELINE_H_
 #define SMOL_RUNTIME_PIPELINE_H_
@@ -19,7 +19,7 @@
 
 #include "src/codec/image.h"
 #include "src/preproc/graph.h"
-#include "src/util/result.h"
+#include "src/util/status.h"
 
 namespace smol {
 
@@ -40,17 +40,11 @@ struct WorkItem {
   int decode_scale_denom = 1;
 };
 
-/// Maps an item to pixels; pluggable so the pipeline serves images
-/// (SJPG/SPNG) and video frames alike.
-using DecodeFn = std::function<Result<Image>(const WorkItem&)>;
-
-/// Allocation-free decode flavour: emits into \p out, whose storage the
-/// producer reuses across items (codecs expose matching *Into entry points,
-/// e.g. SjpgDecodeInto).
+/// Maps an item to pixels, emitting into \p out, whose storage the producer
+/// reuses across items (codecs expose matching *Into entry points, e.g.
+/// SjpgDecodeInto). Pluggable so the pipeline serves images (SJPG/SPNG) and
+/// video frames alike.
 using DecodeIntoFn = std::function<Status(const WorkItem&, Image* out)>;
-
-/// Wraps a value-returning DecodeFn as a DecodeIntoFn (one move, no copy).
-DecodeIntoFn AdaptDecodeFn(DecodeFn decode);
 
 /// Compiles the preprocessing plan once (§6.2). With \p enable_dag_opt off
 /// (the Fig. 7/8 lesion) this returns the naive §2 reference ordering.

@@ -12,6 +12,17 @@ namespace smol {
 
 namespace {
 
+// Pressure: admission queue at/above this fraction of capacity (or any
+// shedding).
+constexpr double kQueueHighFraction = 0.5;
+// Calm: admission queue at/below this fraction of capacity and no shedding.
+constexpr double kQueueLowFraction = 0.15;
+// Ticks to wait after a degrade step before degrading again, so one burst
+// steps down rung by rung instead of free-falling.
+constexpr int kCooldownTicks = 2;
+// Consecutive calm ticks required before stepping one rung up.
+constexpr int kRecoverTicks = 4;
+
 // Largest multi-resolution decode denominator (1/2/4/8) whose decoded short
 // side still covers the rung's resize target, so the pipeline never
 // upsamples what the decoder threw away.
@@ -118,25 +129,10 @@ Result<std::vector<PlanRung>> BuildPlanLadder(const PipelineSpec& base_spec,
   return ladder;
 }
 
-std::vector<double> LadderScalesFromFrontier(
-    const std::vector<SmolOptimizer::FrontierRung>& frontier, int max_rungs) {
-  std::vector<double> scales = {1.0};
-  for (const SmolOptimizer::FrontierRung& rung : frontier) {
-    if (static_cast<int>(scales.size()) >= max_rungs) break;
-    const double gain = std::max(1.0, rung.relative_throughput);
-    // Pixel cost is quadratic in the linear dimension, so a throughput gain
-    // of g maps to a linear scale of ~1/sqrt(g).
-    const double scale =
-        std::min(1.0, std::max(0.35, 1.0 / std::sqrt(gain)));
-    if (scale < scales.back() - 0.02) scales.push_back(scale);
-  }
-  return scales;
-}
-
 PlanController::PlanController(PlanControllerOptions options, int num_rungs)
-    : options_(options), num_rungs_(std::max(1, num_rungs)) {
+    : num_rungs_(std::max(1, num_rungs)) {
   for (int c = 0; c < kNumRequestClasses; ++c) {
-    int floor = options_.floor_rung[c];
+    int floor = options.floor_rung[c];
     if (floor < 0 || floor >= num_rungs_) floor = num_rungs_ - 1;
     floor_[c] = floor;
   }
@@ -146,22 +142,8 @@ int PlanController::Observe(const LoadSignals& signals) {
   const int capacity = std::max(1, signals.queue_capacity);
   const double fill =
       static_cast<double>(signals.queue_depth) / static_cast<double>(capacity);
-  const bool window_ready =
-      signals.window.count >= static_cast<uint64_t>(options_.min_window_count);
-  const double recover_p99 = options_.recover_p99_us > 0.0
-                                 ? options_.recover_p99_us
-                                 : 0.7 * options_.degrade_p99_us;
-
-  const bool pressure =
-      signals.shed_delta > 0 || fill >= options_.queue_high_fraction ||
-      (options_.degrade_p99_us > 0.0 && window_ready &&
-       signals.window.p99_us >= options_.degrade_p99_us);
-  // Calm requires every signal quiet; an idle window (no completions) counts
-  // as quiet on the latency axis.
-  const bool calm =
-      signals.shed_delta == 0 && fill <= options_.queue_low_fraction &&
-      (options_.degrade_p99_us <= 0.0 || signals.window.count == 0 ||
-       signals.window.p99_us <= recover_p99);
+  const bool pressure = signals.shed_delta > 0 || fill >= kQueueHighFraction;
+  const bool calm = signals.shed_delta == 0 && fill <= kQueueLowFraction;
 
   if (cooldown_ > 0) --cooldown_;
   const int level = level_.load(std::memory_order_relaxed);
@@ -170,10 +152,10 @@ int PlanController::Observe(const LoadSignals& signals) {
     if (cooldown_ == 0 && level < num_rungs_ - 1) {
       level_.store(level + 1, std::memory_order_relaxed);
       switches_.fetch_add(1, std::memory_order_relaxed);
-      cooldown_ = options_.cooldown_intervals;
+      cooldown_ = kCooldownTicks;
     }
   } else if (calm) {
-    if (++calm_streak_ >= options_.recover_intervals && level > 0) {
+    if (++calm_streak_ >= kRecoverTicks && level > 0) {
       level_.store(level - 1, std::memory_order_relaxed);
       switches_.fetch_add(1, std::memory_order_relaxed);
       calm_streak_ = 0;

@@ -12,11 +12,10 @@
 //     denominator) so switching plans at runtime is a single index change,
 //     never a recompilation.
 //   * A PlanController: a small hysteresis automaton that watches admission
-//     pressure (queue depth, shed deltas) and the rolling p99 of a
-//     LatencyWindow, steps the active rung down under sustained pressure
-//     (with a cooldown so one burst cannot cascade straight to the bottom)
-//     and back up only after several consecutive calm intervals (so it does
-//     not flap on the burst's trailing edge).
+//     pressure (queue depth, shed deltas), steps the active rung down under
+//     sustained pressure (with a cooldown so one burst cannot cascade
+//     straight to the bottom) and back up only after several consecutive
+//     calm ticks (so it does not flap on the burst's trailing edge).
 //
 // Requests carry a RequestClass; each class has a *floor* — the deepest rung
 // it may be degraded to. The default policy pins kBestAccuracy to rung 0 and
@@ -31,9 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/optimizer.h"
 #include "src/preproc/graph.h"
-#include "src/util/latency_histogram.h"
 #include "src/util/result.h"
 
 namespace smol {
@@ -75,40 +72,12 @@ Result<std::vector<PlanRung>> BuildPlanLadder(const PipelineSpec& base_spec,
                                               const std::vector<double>& scales,
                                               bool enable_dag_opt);
 
-/// Maps the optimizer's frontier ladder (core/optimizer.h) onto geometry
-/// scales for BuildPlanLadder: rung i's relative throughput gain becomes a
-/// linear-dimension scale of ~1/sqrt(gain) (pixel cost is quadratic in the
-/// linear scale), clamped to [0.35, 1], deduplicated, at most \p max_rungs
-/// entries. Always starts at 1.0.
-std::vector<double> LadderScalesFromFrontier(
-    const std::vector<SmolOptimizer::FrontierRung>& frontier, int max_rungs);
+/// The controller's tick: each tick observes the load signals and makes at
+/// most one rung step.
+inline constexpr int kControllerTickUs = 5000;
 
-/// \brief Thresholds and hysteresis of the adaptive controller.
+/// \brief Per-class floors of the adaptive controller.
 struct PlanControllerOptions {
-  /// Controller sampling period. Each tick observes the signals and makes at
-  /// most one rung step.
-  double sample_interval_us = 5000.0;
-
-  /// Degrade when the admission queue is at/above this fraction of capacity.
-  double queue_high_fraction = 0.5;
-  /// One recovery precondition: queue at/below this fraction of capacity.
-  double queue_low_fraction = 0.15;
-
-  /// Degrade when the windowed p99 is at/above this (0 disables the latency
-  /// signal; queue depth and shed pressure still apply).
-  double degrade_p99_us = 0.0;
-  /// Recovery requires windowed p99 at/below this; 0 = 0.7 * degrade_p99_us.
-  double recover_p99_us = 0.0;
-  /// The latency signal only fires once a window has at least this many
-  /// samples (small windows make p99 meaningless).
-  int min_window_count = 8;
-
-  /// Consecutive calm intervals required before stepping one rung up.
-  int recover_intervals = 4;
-  /// Intervals to wait after a degrade step before degrading again, so one
-  /// burst steps down rung by rung instead of free-falling.
-  int cooldown_intervals = 2;
-
   /// Per-class floor: the deepest rung index the class may be served at.
   /// -1 = the ladder's bottom rung. Defaults pin kBestAccuracy to rung 0.
   std::array<int, kNumRequestClasses> floor_rung = {0, -1};
@@ -120,9 +89,6 @@ struct LoadSignals {
   int queue_capacity = 1;  ///< admission capacity
   /// Requests shed since the previous tick (any shedding is pressure).
   uint64_t shed_delta = 0;
-  /// Completion-latency distribution of the elapsed interval
-  /// (LatencyWindow::Advance()).
-  LatencyHistogram::Snapshot window;
 };
 
 /// \brief Hysteresis automaton choosing the active rung per request class.
@@ -135,7 +101,11 @@ class PlanController {
   PlanController(PlanControllerOptions options, int num_rungs);
 
   /// One tick: classifies \p signals as pressure / calm / ambiguous and
-  /// steps the ladder level accordingly. Returns the level after the tick
+  /// steps the ladder level accordingly. Pressure (any shedding, or an
+  /// admission queue at least half full) steps one rung down, then holds for
+  /// a 2-tick cooldown. Calm (no shedding, queue at most 15% full) for 4
+  /// consecutive ticks steps one rung up. Anything between holds the rung
+  /// and restarts the calm count. Returns the level after the tick
   /// (0 = best accuracy .. num_rungs-1 = cheapest).
   int Observe(const LoadSignals& signals);
 
@@ -155,10 +125,7 @@ class PlanController {
     return switches_.load(std::memory_order_relaxed);
   }
 
-  const PlanControllerOptions& options() const { return options_; }
-
  private:
-  PlanControllerOptions options_;
   int num_rungs_;
   std::array<int, kNumRequestClasses> floor_;  ///< resolved (-1 -> bottom)
   std::atomic<int> level_{0};

@@ -14,11 +14,6 @@ namespace smol {
 
 namespace {
 
-std::chrono::steady_clock::duration MicrosToDuration(double micros) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::micro>(std::max(micros, 0.0)));
-}
-
 /// Raises \p target to at least \p value (relaxed max-CAS).
 template <typename T>
 void StoreMax(std::atomic<T>& target, T value) {
@@ -90,7 +85,6 @@ Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
   if (options_.cache.enable_tensor_cache) {
     TensorCache::Options tco;
     tco.capacity_bytes = options_.cache.tensor_cache_bytes;
-    tco.shards = options_.cache.tensor_cache_shards;
     cache_ = std::make_unique<TensorCache>(tco);
   }
   if (pipe.num_producers <= 0) {
@@ -489,7 +483,6 @@ void Server::FlushBatch(Shard& shard, std::vector<Staged>& batch) {
         std::chrono::duration<double, std::micro>(now - staged.ctx.submit_time)
             .count();
     shard.latency.Record(reply.latency_us);
-    completion_latency_.Record(reply.latency_us);
     // Global then per-shard / per-class, all release: stats() reads the
     // split counters first, so within a snapshot completed >= sum(shard
     // served) and completed >= sum(class completed).
@@ -506,13 +499,9 @@ void Server::FlushBatch(Shard& shard, std::vector<Staged>& batch) {
 
 void Server::ControllerLoop() {
   // The controller samples at a fixed cadence: admission depth and shed
-  // delta say how much pressure the front door is under; the LatencyWindow
-  // says what completions experienced over the elapsed interval (the
-  // cumulative histogram would stop reacting minutes into a run).
-  LatencyWindow window(completion_latency_);
+  // delta say how much pressure the front door is under.
   uint64_t last_shed = 0;
-  const auto interval =
-      MicrosToDuration(options_.adaptive.controller.sample_interval_us);
+  const std::chrono::microseconds interval(kControllerTickUs);
   std::unique_lock<std::mutex> lock(controller_mutex_);
   while (!controller_stop_) {
     controller_cv_.wait_for(lock, interval);
@@ -524,7 +513,6 @@ void Server::ControllerLoop() {
     const uint64_t shed_now = shed_.load(std::memory_order_relaxed);
     signals.shed_delta = shed_now - last_shed;
     last_shed = shed_now;
-    signals.window = window.Advance();
     controller_->Observe(signals);
     lock.lock();
   }

@@ -37,11 +37,11 @@
 //   Adaptive plans     With AdaptiveOptions enabled the server precompiles a
 //                      ladder of preprocessing plans (runtime/
 //                      plan_controller.h) and a controller thread watches
-//                      queue depth, shed pressure, and windowed p99 latency,
-//                      degrading to cheaper decode/resolution under burst
-//                      and recovering with hysteresis. Each request is
-//                      served at its class's active rung; the reply reports
-//                      the rung.
+//                      admission queue depth and shed pressure, degrading
+//                      to cheaper decode/resolution under burst and
+//                      recovering with hysteresis. Each request is served
+//                      at its class's active rung; the reply reports the
+//                      rung.
 //
 // The single-device Server is the degenerate case M=1: one shard, one pool,
 // one batcher — behaviourally identical to the pre-sharding runtime. The
@@ -114,17 +114,15 @@ struct PipelineOptions {
 struct CacheOptions {
   bool enable_tensor_cache = false;         ///< master switch
   size_t tensor_cache_bytes = 64ull << 20;  ///< cache byte budget
-  int tensor_cache_shards = 8;              ///< cache concurrency sharding
 };
 
 /// \brief Load-adaptive plan selection (runtime/plan_controller.h).
 struct AdaptiveOptions {
   /// Geometry scales of the plan ladder, starting at 1.0 and strictly
   /// decreasing. More than one entry enables the adaptive controller; the
-  /// default single rung serves the static base plan. Derive from the
-  /// optimizer's frontier with LadderScalesFromFrontier, or set directly.
+  /// default single rung serves the static base plan.
   std::vector<double> ladder_scales = {1.0};
-  /// Controller thresholds and hysteresis.
+  /// Per-class rung floors of the controller.
   PlanControllerOptions controller;
 };
 
@@ -266,9 +264,9 @@ class Server {
   /// Starts the worker/batcher threads immediately; compiles the
   /// preprocessing plan (and, with adaptive serving on, the whole ladder)
   /// from \p pipeline_spec (§6.2). \p decode emits into a per-worker scratch
-  /// image (e.g. wraps SjpgDecodeInto; AdaptDecodeFn wraps a value-returning
-  /// decoder). \p accel is the fleet when options.devices is empty; ignored
-  /// (may be null) otherwise.
+  /// image whose storage it may reuse across requests (e.g.
+  /// SjpgDecodeInto). \p accel is the fleet when options.devices is empty;
+  /// ignored (may be null) otherwise.
   Server(ServerOptions options, PipelineSpec pipeline_spec,
          DecodeIntoFn decode, std::shared_ptr<Device> accel);
 
@@ -413,9 +411,6 @@ class Server {
   std::atomic<uint64_t> callback_errors_{0};
   std::atomic<uint64_t> batches_{0};
   ClassCounters class_counters_[kNumRequestClasses];
-  /// Completion latency across all shards, recorded at reply time; the
-  /// controller's LatencyWindow advances over it each tick.
-  LatencyHistogram completion_latency_;
   std::atomic<uint64_t> rr_cursor_{0};  // dispatch rotation / tie-breaking
   TimePoint start_time_;
   /// Active-window bounds, nanoseconds since start_time_ (-1 = unset):

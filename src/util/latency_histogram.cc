@@ -126,35 +126,6 @@ LatencyHistogram::Snapshot LatencyHistogram::TakeSnapshot() const {
   return s;
 }
 
-LatencyWindow::LatencyWindow(const LatencyHistogram& source)
-    : source_(&source) {
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    last_[i] = source_->buckets_[i].load(std::memory_order_relaxed);
-  }
-}
-
-LatencyHistogram::Snapshot LatencyWindow::Advance() {
-  // Counters only grow, so current - last_ is exactly the samples recorded
-  // inside the window (a read racing a concurrent Record lands the sample in
-  // this window or the next, never both and never dropped).
-  std::array<uint64_t, LatencyHistogram::kNumBuckets> delta;
-  uint64_t total = 0;
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    const uint64_t now = source_->buckets_[i].load(std::memory_order_relaxed);
-    delta[i] = now - last_[i];
-    last_[i] = now;
-    total += delta[i];
-  }
-  LatencyHistogram::Snapshot s;
-  s.count = total;
-  if (total == 0) return s;
-  s.p50_us = PercentileFromCounts(delta, total, 0.50);
-  s.p90_us = PercentileFromCounts(delta, total, 0.90);
-  s.p99_us = PercentileFromCounts(delta, total, 0.99);
-  s.p999_us = PercentileFromCounts(delta, total, 0.999);
-  return s;
-}
-
 void LatencyHistogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

@@ -63,8 +63,6 @@ class LatencyHistogram {
   void Reset();
 
  private:
-  friend class LatencyWindow;
-
   static int BucketIndex(double micros);
 
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_;
@@ -72,38 +70,6 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_us_;  // per-sample rounded; feeds the mean only
   std::atomic<uint64_t> min_us_;
   std::atomic<uint64_t> max_us_;
-};
-
-/// \brief Rolling-window percentile view over a cumulative LatencyHistogram.
-///
-/// The histogram only accumulates, so its percentiles converge to the
-/// whole-run distribution and stop reacting to load changes. A LatencyWindow
-/// remembers the bucket counts at the previous Advance() and reports the
-/// distribution of only the samples recorded since — the signal an adaptive
-/// controller wants ("p99 over the last control interval"), without adding
-/// any cost to the Record hot path.
-///
-/// Not thread-safe: one owner calls Advance() periodically (the underlying
-/// histogram may be recorded into concurrently, as usual). The window's
-/// Snapshot carries no mean/min/max — those cannot be recovered from bucket
-/// deltas — only count and percentiles.
-class LatencyWindow {
- public:
-  /// Binds to \p source, starting with an empty window (the first Advance()
-  /// reports everything recorded since construction).
-  explicit LatencyWindow(const LatencyHistogram& source);
-
-  LatencyWindow(const LatencyWindow&) = delete;
-  LatencyWindow& operator=(const LatencyWindow&) = delete;
-
-  /// Closes the current window and opens the next: returns a Snapshot of the
-  /// samples recorded into the source since the previous Advance() (or since
-  /// construction), with count and p50/p90/p99/p999 filled in.
-  LatencyHistogram::Snapshot Advance();
-
- private:
-  const LatencyHistogram* source_;
-  std::array<uint64_t, LatencyHistogram::kNumBuckets> last_;
 };
 
 }  // namespace smol

@@ -292,33 +292,5 @@ TEST(OptimizerTest, EmptyInputsRejected) {
   EXPECT_FALSE(SmolOptimizer::GeneratePlans(inputs).ok());
 }
 
-// The frontier re-expressed as a degradation ladder: rung 0 is the most
-// accurate frontier plan at relative throughput 1 / accuracy drop 0, and the
-// two relatives move monotonically in opposite directions down the ladder.
-TEST(OptimizerTest, FrontierLadderIsMonotoneDegradation) {
-  auto inputs = MakeOptimizerInputs();
-  ASSERT_OK_AND_ASSIGN(auto ladder, SmolOptimizer::FrontierLadder(inputs));
-  ASSERT_OK_AND_ASSIGN(auto frontier, SmolOptimizer::ParetoPlans(inputs));
-  ASSERT_EQ(ladder.size(), frontier.size());
-  ASSERT_FALSE(ladder.empty());
-  EXPECT_DOUBLE_EQ(ladder[0].relative_throughput, 1.0);
-  EXPECT_DOUBLE_EQ(ladder[0].accuracy_drop, 0.0);
-  for (size_t i = 0; i < ladder.size(); ++i) {
-    EXPECT_GE(ladder[i].relative_throughput, 1.0);
-    EXPECT_GE(ladder[i].accuracy_drop, 0.0);
-    if (i > 0) {
-      EXPECT_GE(ladder[i].relative_throughput,
-                ladder[i - 1].relative_throughput);
-      EXPECT_GE(ladder[i].accuracy_drop, ladder[i - 1].accuracy_drop);
-      // The relatives reconcile with the underlying plans.
-      EXPECT_NEAR(ladder[i].plan.throughput_ims,
-                  ladder[0].plan.throughput_ims * ladder[i].relative_throughput,
-                  1e-6 * ladder[0].plan.throughput_ims);
-      EXPECT_NEAR(ladder[i].plan.accuracy,
-                  ladder[0].plan.accuracy - ladder[i].accuracy_drop, 1e-12);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace smol

@@ -333,6 +333,58 @@ TEST(GraphTest, CostAccountsForDataTypes) {
   EXPECT_GT(early_convert_cost, late_convert_cost);
 }
 
+// A non-square crop: the crop-first ordering resizes to exactly 224x160
+// (35,840 px), the resize-first one by short side to 256x256 (65,536 px).
+PipelineSpec NonSquareCropSpec() {
+  PipelineSpec spec;
+  spec.input_width = 320;
+  spec.input_height = 320;
+  spec.resize_short_side = 256;
+  spec.crop_width = 224;
+  spec.crop_height = 160;
+  return spec;
+}
+
+TEST(GraphTest, NonSquareCropOptimizesToCropFirst) {
+  ASSERT_OK_AND_ASSIGN(PreprocPlan best,
+                       PreprocOptimizer::Optimize(NonSquareCropSpec()));
+  const std::vector<PlanStep> crop_first = {{OpKind::kDecode, 0, 0},
+                                            {OpKind::kCrop, -1, -1},
+                                            {OpKind::kResize, 224, 160},
+                                            {OpKind::kFusedTail, 0, 0}};
+  EXPECT_EQ(best.steps, crop_first) << best.ToString();
+}
+
+// For every enumerated plan, the cost estimate charges the resize at the
+// geometry ExecutePlan resizes to: the estimate of the plan through its
+// resize, less the estimate before it, is 8 ops per output element.
+TEST(GraphTest, CostChargesResizeAtExecutedGeometry) {
+  const auto spec = NonSquareCropSpec();
+  const Image img = MakeTestImage(spec.input_width, spec.input_height, 3);
+  for (const auto& plan : PreprocOptimizer::EnumeratePlans(spec)) {
+    size_t r = 0;
+    bool in_float = false;
+    for (; r < plan.steps.size() && plan.steps[r].kind != OpKind::kResize;
+         ++r) {
+      in_float = in_float || plan.steps[r].kind == OpKind::kConvertFloat;
+    }
+    ASSERT_LT(r, plan.steps.size()) << plan.ToString();
+    PreprocPlan before;
+    before.steps.assign(plan.steps.begin(), plan.steps.begin() + r);
+    PreprocPlan through;
+    through.steps.assign(plan.steps.begin(), plan.steps.begin() + r + 1);
+    // ExecutePlan returns floats, so a u8 prefix gets a conversion appended.
+    PreprocPlan executed = through;
+    if (!in_float) executed.steps.push_back({OpKind::kConvertFloat, 0, 0});
+    ASSERT_OK_AND_ASSIGN(FloatImage out, ExecutePlan(executed, spec, img));
+    const double resize_cost = PreprocOptimizer::EstimateCost(spec, through) -
+                               PreprocOptimizer::EstimateCost(spec, before);
+    EXPECT_DOUBLE_EQ(resize_cost, 8.0 * out.width * out.height *
+                                      spec.channels * (in_float ? 4.0 : 1.0))
+        << plan.ToString();
+  }
+}
+
 TEST(GraphTest, BadSpecRejected) {
   PipelineSpec bad;
   EXPECT_FALSE(PreprocOptimizer::Optimize(bad).ok());

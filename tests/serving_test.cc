@@ -958,34 +958,13 @@ TEST(PlanLadderTest, EveryRungExecuteIntoMatchesExecutePlanExactly) {
   }
 }
 
-TEST(PlanLadderTest, FrontierGainsMapToDecreasingScales) {
-  std::vector<SmolOptimizer::FrontierRung> frontier(3);
-  frontier[0].relative_throughput = 1.0;
-  frontier[1].relative_throughput = 2.0;
-  frontier[2].relative_throughput = 16.0;
-  const auto scales = LadderScalesFromFrontier(frontier, 4);
-  ASSERT_EQ(scales.size(), 3u);
-  EXPECT_DOUBLE_EQ(scales[0], 1.0);
-  // Pixel cost is quadratic in the linear dimension: gain g -> ~1/sqrt(g).
-  EXPECT_NEAR(scales[1], 1.0 / std::sqrt(2.0), 1e-9);
-  EXPECT_DOUBLE_EQ(scales[2], 0.35);  // clamped floor
-  EXPECT_EQ(LadderScalesFromFrontier(frontier, 2).size(), 2u);  // capped
-  // Sub-2% steps dedupe away instead of producing near-identical rungs.
-  std::vector<SmolOptimizer::FrontierRung> flat(2);
-  flat[0].relative_throughput = 1.0;
-  flat[1].relative_throughput = 1.01;
-  EXPECT_EQ(LadderScalesFromFrontier(flat, 4), std::vector<double>{1.0});
-}
-
 // --- PlanController hysteresis -------------------------------------------------------
 
 TEST(PlanControllerTest, DegradesUnderPressureWithCooldownBetweenSteps) {
-  PlanControllerOptions opts;
-  opts.cooldown_intervals = 2;
-  PlanController controller(opts, /*num_rungs=*/3);
+  PlanController controller(PlanControllerOptions{}, /*num_rungs=*/3);
   LoadSignals pressure;
   pressure.queue_depth = 80;
-  pressure.queue_capacity = 100;  // fill 0.8 >= queue_high_fraction
+  pressure.queue_capacity = 100;  // fill 0.8 >= the 0.5 watermark
   EXPECT_EQ(controller.Observe(pressure), 1);  // first tick steps down
   EXPECT_EQ(controller.Observe(pressure), 1);  // cooldown holds the rung
   EXPECT_EQ(controller.Observe(pressure), 2);  // cooldown expired: next step
@@ -996,21 +975,19 @@ TEST(PlanControllerTest, DegradesUnderPressureWithCooldownBetweenSteps) {
 }
 
 TEST(PlanControllerTest, RecoversOnlyAfterConsecutiveCalmIntervals) {
-  PlanControllerOptions opts;
-  opts.cooldown_intervals = 0;
-  opts.recover_intervals = 3;
-  PlanController controller(opts, /*num_rungs=*/3);
+  PlanController controller(PlanControllerOptions{}, /*num_rungs=*/3);
   LoadSignals pressure;
   pressure.shed_delta = 4;  // any shedding is pressure
-  controller.Observe(pressure);
-  controller.Observe(pressure);
+  for (int i = 0; i < 3; ++i) controller.Observe(pressure);  // 2-tick cooldown
   ASSERT_EQ(controller.level(), 2);
   LoadSignals calm;
   calm.queue_capacity = 100;  // empty queue, no shedding
   EXPECT_EQ(controller.Observe(calm), 2);
   EXPECT_EQ(controller.Observe(calm), 2);
-  EXPECT_EQ(controller.Observe(calm), 1);  // third calm tick steps up
-  // Each recovery step restarts the streak: three more ticks per rung.
+  EXPECT_EQ(controller.Observe(calm), 2);
+  EXPECT_EQ(controller.Observe(calm), 1);  // fourth calm tick steps up
+  // Each recovery step restarts the streak: four more ticks per rung.
+  EXPECT_EQ(controller.Observe(calm), 1);
   EXPECT_EQ(controller.Observe(calm), 1);
   EXPECT_EQ(controller.Observe(calm), 1);
   EXPECT_EQ(controller.Observe(calm), 0);
@@ -1022,10 +999,7 @@ TEST(PlanControllerTest, RecoversOnlyAfterConsecutiveCalmIntervals) {
 // controller holds the rung AND restarts the calm streak, so load hovering
 // around the threshold cannot make it flap.
 TEST(PlanControllerTest, AmbiguousLoadHoldsRungAndRestartsCalmStreak) {
-  PlanControllerOptions opts;
-  opts.cooldown_intervals = 0;
-  opts.recover_intervals = 2;
-  PlanController controller(opts, /*num_rungs=*/2);
+  PlanController controller(PlanControllerOptions{}, /*num_rungs=*/2);
   LoadSignals pressure;
   pressure.queue_depth = 60;
   pressure.queue_capacity = 100;
@@ -1036,39 +1010,19 @@ TEST(PlanControllerTest, AmbiguousLoadHoldsRungAndRestartsCalmStreak) {
   mid.queue_capacity = 100;
   LoadSignals calm;
   calm.queue_capacity = 100;
-  EXPECT_EQ(controller.Observe(calm), 1);  // calm streak: 1
-  EXPECT_EQ(controller.Observe(mid), 1);   // ambiguous: hold + reset streak
-  EXPECT_EQ(controller.Observe(calm), 1);  // streak restarts at 1
-  EXPECT_EQ(controller.Observe(calm), 0);  // streak reaches 2: recover
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(controller.Observe(calm), 1);  // calm streak: 1, 2, 3
+  }
+  EXPECT_EQ(controller.Observe(mid), 1);  // ambiguous: hold + reset streak
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(controller.Observe(calm), 1);  // streak restarts at 1
+  }
+  EXPECT_EQ(controller.Observe(calm), 0);  // streak reaches 4: recover
   EXPECT_EQ(controller.switches(), 2u);
-}
-
-TEST(PlanControllerTest, WindowedTailLatencySignalRespectsMinimumCount) {
-  PlanControllerOptions opts;
-  opts.cooldown_intervals = 0;
-  opts.recover_intervals = 1;
-  opts.degrade_p99_us = 10000.0;
-  opts.min_window_count = 8;
-  PlanController controller(opts, /*num_rungs=*/2);
-  LoadSignals slow;
-  slow.queue_capacity = 100;  // empty queue: only the latency signal fires
-  slow.window.count = 4;      // too few samples: p99 is noise, no degrade
-  slow.window.p99_us = 50000.0;
-  EXPECT_EQ(controller.Observe(slow), 0);
-  slow.window.count = 64;  // now the window is trustworthy
-  EXPECT_EQ(controller.Observe(slow), 1);
-  // Between recover (7 ms = 0.7 * degrade) and degrade (10 ms): ambiguous.
-  LoadSignals tepid = slow;
-  tepid.window.p99_us = 8000.0;
-  EXPECT_EQ(controller.Observe(tepid), 1);
-  LoadSignals cool = slow;
-  cool.window.p99_us = 5000.0;  // under the recover threshold
-  EXPECT_EQ(controller.Observe(cool), 0);
 }
 
 TEST(PlanControllerTest, ClassFloorsClampTheSharedLevel) {
   PlanControllerOptions opts;
-  opts.cooldown_intervals = 0;
   PlanController controller(opts, /*num_rungs=*/4);
   LoadSignals pressure;
   pressure.shed_delta = 1;
@@ -1122,8 +1076,6 @@ TEST_F(ServingTest, AdaptiveServerDegradesUnderBurstAndRecovers) {
   opts.admission_capacity = 16;
   opts.overload = OverloadPolicy::kBlock;  // deterministic: nothing shed
   opts.adaptive.ladder_scales = {1.0, 0.7, 0.5};
-  opts.adaptive.controller.sample_interval_us = 1000.0;
-  opts.adaptive.controller.recover_intervals = 3;
   // The device drains ~800 im/s while Submit() offers as fast as it can, so
   // the admission queue stays pinned at capacity for the whole burst.
   Server server(opts, spec_, DecodeSjpg, MakeAccel(800.0));
@@ -1179,7 +1131,6 @@ TEST_F(ServingTest, BestAccuracyClassIsNeverDegraded) {
   opts.admission_capacity = 16;
   opts.overload = OverloadPolicy::kBlock;
   opts.adaptive.ladder_scales = {1.0, 0.6};
-  opts.adaptive.controller.sample_interval_us = 1000.0;
   Server server(opts, spec_, DecodeSjpg, MakeAccel(800.0));
   std::vector<std::future<InferenceReply>> replies;
   std::vector<RequestClass> classes;
@@ -1218,7 +1169,6 @@ TEST_F(ServingTest, RoiRequestsPinToFullFidelityRung) {
   opts.admission_capacity = 16;
   opts.overload = OverloadPolicy::kBlock;
   opts.adaptive.ladder_scales = {1.0, 0.5};
-  opts.adaptive.controller.sample_interval_us = 1000.0;
   Server server(opts, spec_, DecodeSjpg, MakeAccel(800.0));
   std::vector<std::future<InferenceReply>> replies;
   std::vector<bool> has_roi;
@@ -1383,66 +1333,6 @@ TEST(LatencyHistogramTest, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(copied.min_us, before.min_us);
   EXPECT_DOUBLE_EQ(copied.max_us, before.max_us);
   EXPECT_DOUBLE_EQ(copied.p50_us, before.p50_us);
-}
-
-// --- LatencyWindow -------------------------------------------------------------------
-
-// The controller's rolling view: each Advance() sees only the samples
-// recorded since the previous one, never diluted by history — the cumulative
-// histogram underneath is untouched.
-TEST(LatencyWindowTest, AdvanceIsolatesEachInterval) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 100; ++i) hist.Record(1000.0);
-  LatencyWindow window(hist);  // construction snapshots the current counts
-  for (int i = 0; i < 64; ++i) hist.Record(10000.0);
-  const auto first = window.Advance();
-  EXPECT_EQ(first.count, 64u);
-  // Undiluted by the 100 pre-construction 1 ms samples (bucket resolution
-  // is <1%; 3% test budget).
-  EXPECT_NEAR(first.p50_us / 10000.0, 1.0, 0.03);
-  EXPECT_NEAR(first.p99_us / 10000.0, 1.0, 0.03);
-
-  const auto idle = window.Advance();  // nothing recorded since
-  EXPECT_EQ(idle.count, 0u);
-  EXPECT_EQ(idle.p99_us, 0.0);
-
-  for (int i = 0; i < 32; ++i) hist.Record(100.0);
-  const auto second = window.Advance();
-  EXPECT_EQ(second.count, 32u);
-  EXPECT_NEAR(second.p50_us / 100.0, 1.0, 0.03);
-
-  EXPECT_EQ(hist.count(), 196u);  // the source histogram keeps everything
-}
-
-// Concurrent recording may race an Advance(); the monotone per-bucket
-// counters guarantee every sample lands in exactly one window.
-TEST(LatencyWindowTest, ConcurrentRecordsLandInExactlyOneWindow) {
-  LatencyHistogram hist;
-  LatencyWindow window(hist);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20000;
-  std::atomic<bool> stop{false};
-  uint64_t windowed = 0;
-  std::thread advancer([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      windowed += window.Advance().count;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  });
-  std::vector<std::thread> recorders;
-  for (int t = 0; t < kThreads; ++t) {
-    recorders.emplace_back([&hist, t] {
-      Rng rng(static_cast<uint64_t>(t) + 7);
-      for (int i = 0; i < kPerThread; ++i) {
-        hist.Record(rng.UniformDouble(1.0, 1e6));
-      }
-    });
-  }
-  for (auto& t : recorders) t.join();
-  stop.store(true, std::memory_order_release);
-  advancer.join();
-  windowed += window.Advance().count;  // the final partial window
-  EXPECT_EQ(windowed, static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 }  // namespace
