@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: codecs, fused vs
-// unfused preprocessing, MPMC queue, DCT, GEMM, resize. These are the
-// ablation knobs DESIGN.md calls out, measured in isolation.
+// unfused preprocessing, MPMC queue, DCT, GEMM, resize, tensor cache. These
+// are the ablation knobs DESIGN.md calls out, measured in isolation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "src/codec/dct.h"
 #include "src/codec/sjpg.h"
@@ -16,6 +20,7 @@
 #include "src/util/cpu_features.h"
 #include "src/util/mpmc_queue.h"
 #include "src/util/rng.h"
+#include "src/util/tensor_cache.h"
 
 namespace smol {
 namespace {
@@ -209,6 +214,63 @@ void BM_MpmcQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_MpmcQueueThroughput);
+
+// The serving path's cache traffic without the serving path: a seeded
+// zipf(1.0) trace over 2,048 keys through the default 8 shards at 32 MiB,
+// with the serving benchmark's entries (196,608-byte pooled buffers, so 168
+// fit). Each request is a Get and, on a miss, a Put, as Server::Stage runs
+// them. Reports time per request after one warm-up pass over the trace, and
+// the hit ratio over the timed requests.
+void BM_TensorCacheZipf(benchmark::State& state) {
+  constexpr int kKeys = 2048;
+  constexpr size_t kTrace = size_t{1} << 16;
+  std::vector<double> cdf(kKeys);
+  double total = 0.0;
+  for (int k = 0; k < kKeys; ++k) {
+    total += 1.0 / static_cast<double>(k + 1);
+    cdf[static_cast<size_t>(k)] = total;
+  }
+  Rng rng(1);
+  std::vector<TensorCache::Key> trace(kTrace);
+  for (TensorCache::Key& key : trace) {
+    const uint64_t rank = static_cast<uint64_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), rng.UniformDouble() * total) -
+        cdf.begin());
+    key.content_hash = TensorCache::HashCombine(0, rank);
+    key.plan_fingerprint = 7;
+  }
+  // Entries share one buffer: the cache charges its capacity per entry and
+  // never touches the bytes.
+  auto buffer = std::make_shared<PooledBuffer>();
+  buffer->data.reserve(196608);
+  CachedTensor value;
+  value.buffer = std::move(buffer);
+  value.float_count = 85 * 85 * 3;
+  TensorCache::Options options;
+  options.capacity_bytes = 32ull << 20;
+  TensorCache cache(options);
+  const auto request = [&](const TensorCache::Key& key) {
+    std::optional<CachedTensor> hit = cache.Get(key);
+    if (!hit.has_value()) cache.Put(key, value);
+    return hit;
+  };
+  for (const TensorCache::Key& key : trace) request(key);
+  const TensorCacheStats warm = cache.stats();
+  size_t i = 0;
+  for (auto _ : state) {
+    std::optional<CachedTensor> hit = request(trace[i]);
+    benchmark::DoNotOptimize(hit);
+    i = (i + 1) % kTrace;
+  }
+  const TensorCacheStats end = cache.stats();
+  const double lookups = static_cast<double>(
+      (end.hits + end.misses) - (warm.hits + warm.misses));
+  state.counters["hit_ratio"] =
+      lookups > 0.0 ? static_cast<double>(end.hits - warm.hits) / lookups
+                    : 0.0;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TensorCacheZipf);
 
 }  // namespace
 }  // namespace smol

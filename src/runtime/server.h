@@ -113,7 +113,10 @@ struct PipelineOptions {
 /// workloads with repeated content, and it trades memory for compute.
 struct CacheOptions {
   bool enable_tensor_cache = false;         ///< master switch
-  size_t tensor_cache_bytes = 64ull << 20;  ///< cache byte budget
+  /// Cache byte budget. Each entry is charged at its pooled buffer's
+  /// capacity (power-of-two bucket x 1.5 over-allocation) plus 128 B, not
+  /// at its tensor bytes: 32 MiB holds 168 rung-0 tensors of 86,700 B.
+  size_t tensor_cache_bytes = 64ull << 20;
 };
 
 /// \brief Load-adaptive plan selection (runtime/plan_controller.h).

@@ -51,9 +51,57 @@ uint64_t TensorCache::HashCombine(uint64_t seed, uint64_t value) {
   return h;
 }
 
-TensorCache::Shard& TensorCache::ShardFor(const Key& key) {
-  const uint64_t h = HashCombine(key.content_hash, key.plan_fingerprint);
-  return *shards_[static_cast<size_t>(h % shards_.size())];
+namespace {
+
+// Murmur3's 64-bit finalizer. The shard index already used the key hash's
+// low bits, so the sketch rows index from a fully remixed copy.
+uint64_t Remix(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
+size_t TensorCache::FrequencySketch::Counter(uint64_t mixed, int row) {
+  // Row r indexes from bits [16r, 16r + 16) of the remixed key hash.
+  return static_cast<size_t>(row) * kSketchWidth +
+         ((mixed >> (16 * row)) & (kSketchWidth - 1));
+}
+
+void TensorCache::FrequencySketch::Increment(uint64_t key_hash) {
+  const uint64_t mixed = Remix(key_hash);
+  for (int row = 0; row < kRows; ++row) {
+    const size_t counter = Counter(mixed, row);
+    uint64_t& word = words_[counter / 16];
+    const int shift = static_cast<int>(counter % 16) * 4;
+    if (((word >> shift) & 0xF) < 0xF) word += uint64_t{1} << shift;
+  }
+}
+
+int TensorCache::FrequencySketch::Estimate(uint64_t key_hash) const {
+  const uint64_t mixed = Remix(key_hash);
+  int estimate = 0xF;
+  for (int row = 0; row < kRows; ++row) {
+    const size_t counter = Counter(mixed, row);
+    const int shift = static_cast<int>(counter % 16) * 4;
+    estimate = std::min(
+        estimate, static_cast<int>((words_[counter / 16] >> shift) & 0xF));
+  }
+  return estimate;
+}
+
+void TensorCache::FrequencySketch::Halve() {
+  // Shift every 4-bit counter right by one; the mask clears the bit each
+  // counter would otherwise take from its neighbour.
+  for (uint64_t& word : words_) word = (word >> 1) & 0x7777777777777777ull;
+}
+
+TensorCache::Shard& TensorCache::ShardFor(uint64_t key_hash) {
+  return *shards_[static_cast<size_t>(key_hash % shards_.size())];
 }
 
 size_t TensorCache::EntryBytes(const CachedTensor& value) {
@@ -66,8 +114,15 @@ size_t TensorCache::EntryBytes(const CachedTensor& value) {
 }
 
 std::optional<CachedTensor> TensorCache::Get(const Key& key) {
-  Shard& shard = ShardFor(key);
+  const uint64_t key_hash = KeyHashOf(key);
+  Shard& shard = ShardFor(key_hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.sketch.Increment(key_hash);
+  if (++shard.sketch_samples >=
+      kSketchSampleFactor * std::max<uint64_t>(1, shard.lru.size())) {
+    shard.sketch.Halve();
+    shard.sketch_samples = 0;
+  }
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     shard.stats.misses++;
@@ -78,9 +133,20 @@ std::optional<CachedTensor> TensorCache::Get(const Key& key) {
   return it->second->value;
 }
 
+void TensorCache::EvictToFit(Shard& shard) {
+  while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
+    const Entry& victim = shard.lru.back();
+    shard.bytes -= victim.bytes;
+    shard.index.erase(victim.key);
+    shard.lru.pop_back();
+    shard.stats.evictions++;
+  }
+}
+
 void TensorCache::Put(const Key& key, CachedTensor value) {
   const size_t bytes = EntryBytes(value);
-  Shard& shard = ShardFor(key);
+  const uint64_t key_hash = KeyHashOf(key);
+  Shard& shard = ShardFor(key_hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (bytes > shard_budget_) {
     shard.stats.rejected++;
@@ -89,24 +155,26 @@ void TensorCache::Put(const Key& key, CachedTensor value) {
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Replace in place (concurrent producers can race to insert one key).
-    shard.bytes -= it->second->bytes;
+    shard.bytes = shard.bytes - it->second->bytes + bytes;
     it->second->value = std::move(value);
     it->second->bytes = bytes;
-    shard.bytes += bytes;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    EvictToFit(shard);
     return;
   }
-  while (shard.bytes + bytes > shard_budget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    shard.stats.evictions++;
+  // Admission: a key looked up less often than the LRU victim would only
+  // displace a more popular tensor, so it is not cached.
+  if (shard.bytes + bytes > shard_budget_ && !shard.lru.empty() &&
+      shard.sketch.Estimate(key_hash) <
+          shard.sketch.Estimate(KeyHashOf(shard.lru.back().key))) {
+    shard.stats.not_admitted++;
+    return;
   }
   shard.lru.push_front(Entry{key, std::move(value), bytes});
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += bytes;
   shard.stats.insertions++;
+  EvictToFit(shard);
 }
 
 TensorCacheStats TensorCache::stats() const {
@@ -118,6 +186,7 @@ TensorCacheStats TensorCache::stats() const {
     total.insertions += shard->stats.insertions;
     total.evictions += shard->stats.evictions;
     total.rejected += shard->stats.rejected;
+    total.not_admitted += shard->stats.not_admitted;
     total.bytes_cached += shard->bytes;
     total.entries += shard->lru.size();
   }

@@ -1,10 +1,12 @@
 // Tests for src/util/tensor_cache.h: the content-addressed cache of
 // preprocessed tensors (hit/miss accounting, LRU eviction under a byte
-// budget, shared-buffer recycling, and concurrent access).
+// budget, frequency-aware admission, shared-buffer recycling, and concurrent
+// access).
 #include "src/util/tensor_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <future>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "src/util/buffer_pool.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -103,6 +106,29 @@ TEST(TensorCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_LE(stats.bytes_cached, 5000u);
 }
 
+TEST(TensorCacheTest, ReplacingWithLargerValueRespectsBudget) {
+  // Four 1 KiB tensors (1,152 B charged each) fill 4,608 of 5,000 bytes.
+  // Replacing one with 3 KiB (3,200 B) must evict the two LRU others.
+  TensorCache::Options options;
+  options.shards = 1;
+  options.capacity_bytes = 5000;
+  TensorCache cache(options);
+  for (uint64_t i = 0; i < 4; ++i) cache.Put(MakeKey(i), MakeTensor(256));
+  cache.Put(MakeKey(0), MakeTensor(768, 0x3C));
+  auto stats = cache.stats();
+  EXPECT_LE(stats.bytes_cached, 5000u);
+  EXPECT_EQ(stats.bytes_cached, 3200u + 1152u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 2u);
+  auto replaced = cache.Get(MakeKey(0));
+  ASSERT_TRUE(replaced.has_value());
+  EXPECT_EQ(replaced->float_count, 768u);
+  EXPECT_EQ(replaced->buffer->data[0], 0x3C);
+  EXPECT_FALSE(cache.Get(MakeKey(1)).has_value());  // LRU: evicted
+  EXPECT_FALSE(cache.Get(MakeKey(2)).has_value());  // next LRU: evicted
+  EXPECT_TRUE(cache.Get(MakeKey(3)).has_value());
+}
+
 TEST(TensorCacheTest, OversizedValuesAreRejectedNotCached) {
   TensorCache::Options options;
   options.shards = 1;
@@ -153,6 +179,85 @@ TEST(TensorCacheTest, PooledBuffersRecycleWhenCacheEvicts) {
   EXPECT_GT(pool.stats().returns, 0u);  // evicted entries recycled
   cache.reset();
   EXPECT_EQ(pool.stats().returns, 8u);  // the rest on cache destruction
+}
+
+// A hot set warmed by repeated lookups survives a scan of one-off keys four
+// times the cache's size: each one-off key has been looked up once, less
+// often than any hot LRU victim, so it is not admitted. Plain LRU would
+// flush every hot key.
+TEST(TensorCacheTest, OneOffScanDoesNotFlushHotKeys) {
+  constexpr uint64_t kHot = 8;
+  constexpr uint64_t kCapacityEntries = 16;
+  constexpr uint64_t kScan = 4 * kCapacityEntries;
+  TensorCache::Options options;
+  options.shards = 1;
+  options.capacity_bytes = kCapacityEntries * (1024 + 128);  // 1 KiB each
+  TensorCache cache(options);
+  for (int round = 0; round < 8; ++round) {
+    for (uint64_t k = 0; k < kHot; ++k) {
+      if (!cache.Get(MakeKey(k)).has_value()) {
+        cache.Put(MakeKey(k), MakeTensor(256));
+      }
+    }
+  }
+  for (uint64_t k = 1000; k < 1000 + kScan; ++k) {
+    ASSERT_FALSE(cache.Get(MakeKey(k)).has_value());
+    cache.Put(MakeKey(k), MakeTensor(256));
+  }
+  for (uint64_t k = 0; k < kHot; ++k) {
+    EXPECT_TRUE(cache.Get(MakeKey(k)).has_value()) << "hot key " << k;
+  }
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.not_admitted, 0u);
+  EXPECT_LE(stats.bytes_cached, options.capacity_bytes);
+}
+
+// Zipf(1.0) over 2,048 keys through the default 8 shards at 32 MiB, with
+// the serving benchmark's entry size: an 85x85x3 f32 tensor in a pooled
+// 128 KiB bucket over-allocated 1.5x, so 196,608 bytes of capacity and 168
+// entries in the budget. The 168 most popular keys would hit 0.695 of the
+// time; plain LRU reads 0.582-0.585 on these seeds, because one-off tail
+// keys evict the head.
+TEST(TensorCacheTest, ZipfTraceKeepsTheHead) {
+  constexpr int kKeys = 2048;
+  constexpr int kWarmup = 20000;
+  constexpr int kMeasured = 100000;
+  std::vector<double> cdf(kKeys);
+  double total = 0.0;
+  for (int k = 0; k < kKeys; ++k) {
+    total += 1.0 / static_cast<double>(k + 1);
+    cdf[static_cast<size_t>(k)] = total;
+  }
+  // Every entry shares one buffer: the cache charges its capacity per entry
+  // and never reads the bytes, so the replay needs no 33 MB of tensors.
+  auto buffer = std::make_shared<PooledBuffer>();
+  buffer->data.reserve(196608);
+  CachedTensor value;
+  value.buffer = buffer;
+  value.float_count = 85 * 85 * 3;
+  for (uint64_t seed : {1, 2, 3}) {
+    TensorCache::Options options;
+    options.capacity_bytes = 32ull << 20;
+    TensorCache cache(options);
+    Rng rng(seed);
+    uint64_t hits = 0;
+    for (int i = 0; i < kWarmup + kMeasured; ++i) {
+      const double u = rng.UniformDouble() * total;
+      const auto rank = static_cast<uint64_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      const auto key = MakeKey(std::min<uint64_t>(rank, kKeys - 1));
+      if (cache.Get(key).has_value()) {
+        if (i >= kWarmup) ++hits;
+      } else {
+        cache.Put(key, value);
+      }
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 168u) << "seed " << seed;
+    const double hit_ratio =
+        static_cast<double>(hits) / static_cast<double>(kMeasured);
+    EXPECT_GE(hit_ratio, 0.65) << "seed " << seed;
+  }
 }
 
 TEST(TensorCacheTest, HashBytesIsStableAndSensitive) {
