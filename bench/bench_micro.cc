@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/codec/color.h"
 #include "src/codec/dct.h"
 #include "src/codec/sjpg.h"
 #include "src/codec/spng.h"
@@ -53,6 +54,34 @@ void BM_SjpgDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SjpgDecode)->Arg(64)->Arg(128)->Arg(256);
+
+// Header parsing alone: SjpgPeekHeader runs the decoder's whole
+// ParseStream -- quant tables, the four Huffman tables and the row index.
+void BM_SjpgPeekHeader(benchmark::State& state) {
+  const Image img = BenchImage(static_cast<int>(state.range(0)));
+  const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();
+  for (auto _ : state) {
+    auto header = SjpgPeekHeader(bytes);
+    benchmark::DoNotOptimize(header);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SjpgPeekHeader)->Arg(128);
+
+// The decoder's colour stage: 4:2:0 YCbCr planes to interleaved RGB, into a
+// reused image as SjpgDecodeInto runs it.
+void BM_YccToRgb(benchmark::State& state) {
+  const Ycbcr420 ycc =
+      RgbToYcbcr420(BenchImage(static_cast<int>(state.range(0))));
+  Image out;
+  for (auto _ : state) {
+    Ycbcr420ToRgbInto(ycc, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_YccToRgb)->Arg(128);
 
 // Reduced-resolution decode at denominator 2: the serving plan ladder's
 // bottom rung, where entropy decoding is most of the cost.

@@ -62,10 +62,7 @@ Result<uint8_t> BitReader::ReadByte() {
 Result<uint32_t> BitReader::ReadU32() {
   AlignToByte();
   if (byte_pos_ + 4 > size_) return Status::Corruption("bitstream truncated");
-  uint32_t v = static_cast<uint32_t>(data_[byte_pos_]) |
-               (static_cast<uint32_t>(data_[byte_pos_ + 1]) << 8) |
-               (static_cast<uint32_t>(data_[byte_pos_ + 2]) << 16) |
-               (static_cast<uint32_t>(data_[byte_pos_ + 3]) << 24);
+  const uint32_t v = LoadU32Le(data_ + byte_pos_);
   byte_pos_ += 4;
   return v;
 }
@@ -73,11 +70,17 @@ Result<uint32_t> BitReader::ReadU32() {
 Result<uint16_t> BitReader::ReadU16() {
   AlignToByte();
   if (byte_pos_ + 2 > size_) return Status::Corruption("bitstream truncated");
-  uint16_t v = static_cast<uint16_t>(
-      static_cast<uint16_t>(data_[byte_pos_]) |
-      (static_cast<uint16_t>(data_[byte_pos_ + 1]) << 8));
+  const uint16_t v = LoadU16Le(data_ + byte_pos_);
   byte_pos_ += 2;
   return v;
+}
+
+Result<const uint8_t*> BitReader::ReadBytes(size_t n) {
+  AlignToByte();
+  if (n > size_ - byte_pos_) return Status::Corruption("bitstream truncated");
+  const uint8_t* start = data_ + byte_pos_;
+  byte_pos_ += n;
+  return start;
 }
 
 Status BitReader::SeekToByte(size_t offset) {

@@ -40,6 +40,17 @@ class BitWriter {
   int bit_count_ = 0;
 };
 
+/// Little-endian 16- and 32-bit loads from a byte span (see
+/// BitReader::ReadBytes).
+inline uint16_t LoadU16Le(const uint8_t* p) {
+  return static_cast<uint16_t>(p[0] | (p[1] << 8));
+}
+inline uint32_t LoadU32Le(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
 /// \brief MSB-first bit reader over a byte span.
 class BitReader {
  public:
@@ -92,6 +103,11 @@ class BitReader {
   Result<uint8_t> ReadByte();
   Result<uint32_t> ReadU32();
   Result<uint16_t> ReadU16();
+
+  /// Aligns like ReadU16, then consumes the next \p n bytes and returns
+  /// where they start in the stream: one bounds check for a whole table,
+  /// read with LoadU16Le/LoadU32Le.
+  Result<const uint8_t*> ReadBytes(size_t n);
 
   /// Repositions the reader to an absolute byte offset (byte-aligned).
   Status SeekToByte(size_t offset);

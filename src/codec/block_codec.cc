@@ -9,15 +9,6 @@ namespace smol {
 
 namespace {
 
-// Zig-zag scan position of each natural (row-major) index: kZigZag inverted.
-struct ZigZagPositions {
-  uint8_t of[64];
-  ZigZagPositions() {
-    for (int i = 0; i < 64; ++i) of[kZigZag[i]] = static_cast<uint8_t>(i);
-  }
-};
-const ZigZagPositions kZigZagPos;
-
 void StoreBlockScalar(const int16_t* samples, int n,
                       std::vector<uint8_t>& plane, int plane_w, int plane_h,
                       int bx, int by) {
@@ -122,22 +113,27 @@ CoeffBlock TransformBlock(const int16_t samples[64], const QuantTable& qt) {
   return out;
 }
 
-void ReconstructBlock(const CoeffBlock& block, const QuantTable& qt,
+void ReconstructBlock(const DecodedBlock& block, const QuantTable& qt,
                       int16_t out[64]) {
-  int16_t natural[64];
-  for (int i = 0; i < 64; ++i) natural[kZigZag[i]] = block.zz[i];
   float dct[64];
-  Dequantize(natural, qt, dct);
+  Dequantize(block.coef, qt, dct);
   InverseDct8x8(dct, out);
 }
 
-void ReconstructBlockScaled(const CoeffBlock& block, const QuantTable& qt,
+void ReconstructBlock(const CoeffBlock& block, const QuantTable& qt,
+                      int16_t out[64]) {
+  DecodedBlock natural;
+  for (int i = 0; i < 64; ++i) natural.coef[kZigZag[i]] = block.zz[i];
+  ReconstructBlock(natural, qt, out);
+}
+
+void ReconstructBlockScaled(const DecodedBlock& block, const QuantTable& qt,
                             int n, int16_t* out) {
   float dct[64];  // InverseDctScaled reads only the n x n corner written here
   for (int v = 0; v < n; ++v) {
     for (int u = 0; u < n; ++u) {
       const int k = v * 8 + u;
-      dct[k] = static_cast<float>(block.zz[kZigZagPos.of[k]]) * qt.q[k];
+      dct[k] = static_cast<float>(block.coef[k]) * qt.q[k];
     }
   }
   InverseDctScaled(dct, n, out);
@@ -310,8 +306,8 @@ BlockDecodeTables::BlockDecodeTables(const HuffmanTable& dc,
 }
 
 Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
-                   int* dc_pred, CoeffBlock* block) {
-  std::memset(block->zz, 0, sizeof(block->zz));
+                   int* dc_pred, DecodedBlock* block) {
+  std::memset(block->coef, 0, sizeof(block->coef));
   BitWindow window(*reader);
   const uint32_t dc_entry = tables.dc_->Lookup(window.Peek(kMaxHuffmanBits));
   if (dc_entry == 0) return Status::Corruption("invalid Huffman prefix");
@@ -325,7 +321,7 @@ Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
   }
   if (window.Overrun()) return Truncated();
   *dc_pred += diff;
-  block->zz[0] = static_cast<int16_t>(*dc_pred);
+  block->coef[0] = static_cast<int16_t>(*dc_pred);  // kZigZag[0] == 0
   int i = 1;
   while (i < 64) {
     window.Refill();
@@ -335,7 +331,7 @@ Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
       window.Consume(fast.len);
       i += fast.run;
       if (i >= 64) return Status::Corruption("AC index overflow");
-      block->zz[i++] = fast.value;
+      block->coef[kZigZag[i++]] = fast.value;
       if (window.Overrun()) return Truncated();
       continue;
     }
@@ -354,7 +350,7 @@ Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
     if (size == 0) return Status::Corruption("bad AC symbol");
     i += run;
     if (i >= 64) return Status::Corruption("AC index overflow");
-    block->zz[i++] = static_cast<int16_t>(
+    block->coef[kZigZag[i++]] = static_cast<int16_t>(
         DecodeValueBits(window.Peek(size), size));
     window.Consume(size);
     if (window.Overrun()) return Truncated();

@@ -13,9 +13,19 @@
 
 namespace smol {
 
-/// One 8x8 block of quantized coefficients in zig-zag order.
+/// One 8x8 block of quantized coefficients in zig-zag order: what the
+/// encoder transforms into and entropy-codes.
 struct CoeffBlock {
   int16_t zz[64];
+};
+
+/// One 8x8 block of quantized coefficients in natural (row-major) order:
+/// what DecodeBlock writes. The decoder stores each coefficient it reads at
+/// its natural index, so reconstruction needs no dezigzag pass. A type of
+/// its own, so an encoder (zig-zag) block cannot be passed where a decoded
+/// one is expected, or the reverse.
+struct DecodedBlock {
+  int16_t coef[64];
 };
 
 /// JPEG-style magnitude category: bits needed to represent |v| (0 for v==0).
@@ -33,15 +43,21 @@ void ExtractBlock(const std::vector<uint8_t>& plane, int plane_w, int plane_h,
 /// Forward DCT + quantization + zig-zag of one block of samples.
 CoeffBlock TransformBlock(const int16_t samples[64], const QuantTable& qt);
 
-/// Dequantization + inverse DCT of one block (output natural order samples).
+/// Dequantization + inverse DCT of one decoded block (output natural order
+/// samples).
+void ReconstructBlock(const DecodedBlock& block, const QuantTable& qt,
+                      int16_t out[64]);
+
+/// The same for an encoder block: dezigzags it first. Encoders use it to
+/// rebuild the reference a decoder will see, to the same bytes.
 void ReconstructBlock(const CoeffBlock& block, const QuantTable& qt,
                       int16_t out[64]);
 
-/// Dequantization + scaled inverse DCT of one block: the n x n (n in {1, 2,
-/// 4}) level-shifted samples InverseDctScaled reconstructs from the top-left
-/// n x n coefficients. Only those n*n coefficients are dezigzagged and
+/// Dequantization + scaled inverse DCT of one decoded block: the n x n (n in
+/// {1, 2, 4}) level-shifted samples InverseDctScaled reconstructs from the
+/// top-left n x n coefficients. Only those n*n coefficients are
 /// dequantized, with the same products as Dequantize.
-void ReconstructBlockScaled(const CoeffBlock& block, const QuantTable& qt,
+void ReconstructBlockScaled(const DecodedBlock& block, const QuantTable& qt,
                             int n, int16_t* out);
 
 /// Stores an n x n block of level-shifted samples (row-major) into \p plane
@@ -76,7 +92,7 @@ class BlockDecodeTables {
 
  private:
   friend Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
-                            int* dc_pred, CoeffBlock* block);
+                            int* dc_pred, DecodedBlock* block);
 
   // len == 0: the prefix needs the Huffman LUT or canonical scan instead
   // (EOB, ZRL, codes whose value bits do not fit, invalid prefixes).
@@ -91,15 +107,16 @@ class BlockDecodeTables {
   FastAc fast_ac_[1u << kHuffmanLutBits];
 };
 
-/// Entropy-decodes one block into zig-zag coefficients, reading from the
-/// reader's position and leaving it after the block. Decodes from a 64-bit
+/// Entropy-decodes one block, reading from the reader's position and leaving
+/// it after the block. Each coefficient is written at its natural index, and
+/// only the non-zero ones are written after one clear. Decodes from a 64-bit
 /// bit window: most AC coefficients take one fast-AC probe, DC and the rest
 /// one Huffman LUT probe (or the canonical scan for codes over
 /// kHuffmanLutBits). Corruption on a consumed bit past the end of the
 /// stream, an invalid prefix, DC size > 15, AC size 0 or AC index >= 64;
 /// the reader position is then unspecified.
 Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
-                   int* dc_pred, CoeffBlock* block);
+                   int* dc_pred, DecodedBlock* block);
 
 }  // namespace smol
 

@@ -9,9 +9,11 @@ namespace {
 
 #if SMOL_SIMD_X86
 
-// Integer math below mirrors the scalar RgbToYcc/YccToRgb fixed-point
-// formulas exactly (same products, rounding adds, and arithmetic shifts), so
-// the vector paths are bit-identical to the scalar reference.
+// Integer math below reproduces the scalar RgbToYcc/YccToRgb fixed-point
+// formulas exactly, so the vector paths are bit-identical to the scalar
+// reference: RgbRowToYccAvx2 with the same products, rounding adds and
+// arithmetic shifts, YccRowToRgbAvx2 with its products split to fit 16-bit
+// lanes (see there).
 
 // Two i32x8 halves (pixels 0-7, 8-15) -> u8x16.
 SMOL_TARGET_AVX2 inline __m128i PackU8x16(__m256i lo, __m256i hi) {
@@ -96,59 +98,70 @@ SMOL_TARGET_AVX2 void RgbRowToYccAvx2(const uint8_t* src, int w, uint8_t* yp,
   }
 }
 
-// One output row of Y + half-res Cb/Cr -> interleaved RGB, 16 px/iteration.
+// i16x16 -> u8x16 with unsigned saturation, pixels in order.
+SMOL_TARGET_AVX2 inline __m128i NarrowU8x16(__m256i v) {
+  return _mm_packus_epi16(_mm256_castsi256_si128(v),
+                          _mm256_extracti128_si256(v, 1));
+}
+
+// One output row of Y + half-res Cb/Cr -> interleaved RGB, 16 px/iteration
+// in 16-bit lanes. YccToRgb's products reach 454 * 127 and overflow int16,
+// so each coefficient splits into a power of two and a small remainder:
+// 359 = 256 + 103, 183 = 256 - 73, 454 = 512 - 58. With d = cb - 128 and
+// e = cr - 128, exactly (a multiple of 256 added before an arithmetic >> 8
+// adds its quotient after):
+//   (359 e + 128) >> 8        = e + ((103 e + 128) >> 8)
+//   (88 d + 183 e + 128) >> 8 = e + ((88 d - 73 e + 128) >> 8)
+//   (454 d + 128) >> 8        = 2 d + ((128 - 58 d) >> 8)
+// Every remainder sum lies within [-20407, 20648] and every other partial
+// sum within [-256, 509]: all inside int16, so the saturating pack sees the
+// scalar result.
 SMOL_TARGET_AVX2 void YccRowToRgbAvx2(const uint8_t* yp, const uint8_t* cbp,
                                       const uint8_t* crp, int w,
                                       uint8_t* dst) {
   static const simd_bytes::Masks3 imasks[3] = {
       simd_bytes::RgbInterleaveMasks(0), simd_bytes::RgbInterleaveMasks(1),
       simd_bytes::RgbInterleaveMasks(2)};
-  const __m256i round = _mm256_set1_epi32(128);
-  const __m256i bias = _mm256_set1_epi32(128);
-  const __m256i dup_lo = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-  const __m256i dup_hi = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
+  const __m256i c128 = _mm256_set1_epi16(128);
+  const __m256i k103 = _mm256_set1_epi16(103);
+  const __m256i k88 = _mm256_set1_epi16(88);
+  const __m256i k73 = _mm256_set1_epi16(73);
+  const __m256i k58 = _mm256_set1_epi16(58);
   int x = 0;
   for (; x + 16 <= w; x += 16) {
-    const __m128i y16 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(yp + x));
-    // 8 chroma samples cover these 16 luma pixels.
-    const __m256i cb8 = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(cbp + x / 2)));
-    const __m256i cr8 = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(crp + x / 2)));
-    const __m256i d8 = _mm256_sub_epi32(cb8, bias);
-    const __m256i e8 = _mm256_sub_epi32(cr8, bias);
-    __m256i rq[2], gq[2], bq[2];
-    for (int half = 0; half < 2; ++half) {
-      const __m256i dup = half ? dup_hi : dup_lo;
-      const __m256i y = half ? WidenHi(y16) : WidenLo(y16);
-      const __m256i d = _mm256_permutevar8x32_epi32(d8, dup);
-      const __m256i e = _mm256_permutevar8x32_epi32(e8, dup);
-      // r = y + ((359 e + 128) >> 8)
-      rq[half] = _mm256_add_epi32(
-          y, _mm256_srai_epi32(
-                 _mm256_add_epi32(
-                     _mm256_mullo_epi32(e, _mm256_set1_epi32(359)), round),
-                 8));
-      // g = y - ((88 d + 183 e + 128) >> 8)
-      gq[half] = _mm256_sub_epi32(
-          y, _mm256_srai_epi32(
-                 _mm256_add_epi32(
-                     _mm256_add_epi32(
-                         _mm256_mullo_epi32(d, _mm256_set1_epi32(88)),
-                         _mm256_mullo_epi32(e, _mm256_set1_epi32(183))),
-                     round),
-                 8));
-      // b = y + ((454 d + 128) >> 8)
-      bq[half] = _mm256_add_epi32(
-          y, _mm256_srai_epi32(
-                 _mm256_add_epi32(
-                     _mm256_mullo_epi32(d, _mm256_set1_epi32(454)), round),
-                 8));
-    }
-    const __m128i r8 = PackU8x16(rq[0], rq[1]);
-    const __m128i g8 = PackU8x16(gq[0], gq[1]);
-    const __m128i b8 = PackU8x16(bq[0], bq[1]);
+    const __m256i y = _mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(yp + x)));
+    // 8 chroma samples cover these 16 luma pixels: each byte is doubled
+    // before widening.
+    const __m128i cb8 =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(cbp + x / 2));
+    const __m128i cr8 =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(crp + x / 2));
+    const __m256i d = _mm256_sub_epi16(
+        _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(cb8, cb8)), c128);
+    const __m256i e = _mm256_sub_epi16(
+        _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(cr8, cr8)), c128);
+    // r = y + e + ((103 e + 128) >> 8)
+    const __m256i r = _mm256_add_epi16(
+        _mm256_add_epi16(y, e),
+        _mm256_srai_epi16(
+            _mm256_add_epi16(_mm256_mullo_epi16(e, k103), c128), 8));
+    // g = y - e - ((88 d - 73 e + 128) >> 8)
+    const __m256i g = _mm256_sub_epi16(
+        _mm256_sub_epi16(y, e),
+        _mm256_srai_epi16(
+            _mm256_add_epi16(_mm256_sub_epi16(_mm256_mullo_epi16(d, k88),
+                                              _mm256_mullo_epi16(e, k73)),
+                             c128),
+            8));
+    // b = y + 2 d + ((128 - 58 d) >> 8)
+    const __m256i b = _mm256_add_epi16(
+        _mm256_add_epi16(y, _mm256_add_epi16(d, d)),
+        _mm256_srai_epi16(_mm256_sub_epi16(c128, _mm256_mullo_epi16(d, k58)),
+                          8));
+    const __m128i r8 = NarrowU8x16(r);
+    const __m128i g8 = NarrowU8x16(g);
+    const __m128i b8 = NarrowU8x16(b);
     uint8_t* out = dst + x * 3;
     for (int chunk = 0; chunk < 3; ++chunk) {
       _mm_storeu_si128(reinterpret_cast<__m128i*>(out + chunk * 16),

@@ -132,8 +132,6 @@ Result<HuffmanTable> HuffmanTable::FromFrequencies(
 
 Status HuffmanTable::BuildFromLengths() {
   const int n = static_cast<int>(lengths_.size());
-  codes_.assign(n, 0);
-  sorted_symbols_.clear();
   std::fill(std::begin(count_), std::end(count_), 0);
   for (int i = 0; i < n; ++i) {
     if (lengths_[i] > kMaxHuffmanBits) {
@@ -141,6 +139,24 @@ Status HuffmanTable::BuildFromLengths() {
     }
     if (lengths_[i] > 0) count_[lengths_[i]]++;
   }
+  // Canonical order, symbols by (length, symbol): each length's run starts
+  // after the shorter ones' and an ascending scan fills it in order.
+  int next[kMaxHuffmanBits + 1] = {0};
+  int total = 0;
+  for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+    next[len] = total;
+    total += count_[len];
+  }
+  sorted_symbols_.resize(total);
+  for (int i = 0; i < n; ++i) {
+    if (lengths_[i] > 0) {
+      sorted_symbols_[next[lengths_[i]]++] = static_cast<uint16_t>(i);
+    }
+  }
+  return AssignCanonicalCodes();
+}
+
+Status HuffmanTable::AssignCanonicalCodes() {
   // Kraft inequality check guards against corrupt tables.
   uint64_t kraft = 0;
   for (int len = 1; len <= kMaxHuffmanBits; ++len) {
@@ -150,46 +166,31 @@ Status HuffmanTable::BuildFromLengths() {
   if (kraft > (1ULL << kMaxHuffmanBits)) {
     return Status::Corruption("over-subscribed Huffman table");
   }
-  // Canonical codes: symbols sorted by (length, symbol).
-  std::vector<int> order;
-  for (int i = 0; i < n; ++i) {
-    if (lengths_[i] > 0) order.push_back(i);
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (lengths_[a] != lengths_[b]) return lengths_[a] < lengths_[b];
-    return a < b;
-  });
-  uint32_t code = 0;
-  int prev_len = 0;
-  int index = 0;
+  // Codes count up in canonical order and gain a bit per length. Each code
+  // no longer than kHuffmanLutBits also fills the lookahead LUT: every
+  // prefix that starts with it maps straight to (symbol, length).
+  codes_.assign(lengths_.size(), 0);
+  lut_.assign(1u << kHuffmanLutBits, 0);
   std::fill(std::begin(first_code_), std::end(first_code_), -1);
   std::fill(std::begin(first_index_), std::end(first_index_), 0);
-  for (int sym : order) {
-    const int len = lengths_[sym];
-    code <<= (len - prev_len);
-    if (first_code_[len] < 0) {
+  uint32_t code = 0;
+  int index = 0;
+  for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+    if (count_[len] > 0) {
       first_code_[len] = static_cast<int32_t>(code);
       first_index_[len] = index;
     }
-    codes_[sym] = static_cast<uint16_t>(code);
-    sorted_symbols_.push_back(static_cast<uint16_t>(sym));
-    ++code;
-    ++index;
-    prev_len = len;
-  }
-  // Lookahead LUT: every kHuffmanLutBits-wide prefix of a short code maps
-  // straight to (symbol, length). Canonical order is shortest-first, so the
-  // fill can stop at the first over-wide code.
-  lut_.assign(1u << kHuffmanLutBits, 0);
-  for (int sym : order) {
-    const int len = lengths_[sym];
-    if (len > kHuffmanLutBits) break;
-    const uint32_t entry =
-        (static_cast<uint32_t>(sym) << 8) | static_cast<uint32_t>(len);
-    const uint32_t base = static_cast<uint32_t>(codes_[sym])
-                          << (kHuffmanLutBits - len);
-    const uint32_t span = 1u << (kHuffmanLutBits - len);
-    for (uint32_t i = 0; i < span; ++i) lut_[base + i] = entry;
+    for (int k = 0; k < count_[len]; ++k, ++index, ++code) {
+      const uint16_t sym = sorted_symbols_[index];
+      codes_[sym] = static_cast<uint16_t>(code);
+      if (len <= kHuffmanLutBits) {
+        const uint32_t span = 1u << (kHuffmanLutBits - len);
+        std::fill_n(lut_.begin() + code * span, span,
+                    (static_cast<uint32_t>(sym) << 8) |
+                        static_cast<uint32_t>(len));
+      }
+    }
+    code <<= 1;
   }
   return Status::OK();
 }
@@ -207,29 +208,44 @@ void HuffmanTable::Serialize(BitWriter* writer) const {
 }
 
 Result<HuffmanTable> HuffmanTable::Deserialize(BitReader* reader) {
-  SMOL_ASSIGN_OR_RETURN(uint16_t raw_size, reader->ReadU16());
+  // The alphabet size and the 16 per-length counts, then the symbol list:
+  // one bounds check each.
+  SMOL_ASSIGN_OR_RETURN(const uint8_t* head,
+                        reader->ReadBytes(2 * (1 + kMaxHuffmanBits)));
+  const uint16_t raw_size = LoadU16Le(head);
   const int alphabet = raw_size == 0 ? 65536 : raw_size;
-  int counts[kMaxHuffmanBits + 1] = {0};
+  HuffmanTable table;
   int total = 0;
   for (int len = 1; len <= kMaxHuffmanBits; ++len) {
-    SMOL_ASSIGN_OR_RETURN(uint16_t c, reader->ReadU16());
-    counts[len] = c;
-    total += c;
+    table.count_[len] = LoadU16Le(head + 2 * len);
+    total += table.count_[len];
   }
   if (total > alphabet) return Status::Corruption("too many Huffman symbols");
-  HuffmanTable table;
+  SMOL_ASSIGN_OR_RETURN(const uint8_t* symbols,
+                        reader->ReadBytes(2 * static_cast<size_t>(total)));
   table.lengths_.assign(alphabet, 0);
-  std::vector<uint16_t> symbols(total);
-  int idx = 0;
+  table.sorted_symbols_.resize(total);
+  // Serialize writes the canonical order, ascending within each length and
+  // every symbol once: that list is already the (length, symbol) sort and
+  // its counts are the lengths'. Any other list (unsorted, repeated
+  // symbols) rebuilds both from the lengths it leaves. Skipping the
+  // rebuild's two passes over the alphabet is a quarter of an SJPG header
+  // parse (BM_SjpgPeekHeader/128).
+  bool canonical = true;
+  int index = 0;
   for (int len = 1; len <= kMaxHuffmanBits; ++len) {
-    for (int k = 0; k < counts[len]; ++k) {
-      SMOL_ASSIGN_OR_RETURN(uint16_t sym, reader->ReadU16());
+    int prev = -1;
+    for (int k = 0; k < table.count_[len]; ++k, ++index) {
+      const int sym = LoadU16Le(symbols + 2 * index);
       if (sym >= alphabet) return Status::Corruption("symbol out of range");
+      canonical &= sym > prev && table.lengths_[sym] == 0;
+      prev = sym;
       table.lengths_[sym] = static_cast<uint8_t>(len);
-      symbols[idx++] = sym;
+      table.sorted_symbols_[index] = static_cast<uint16_t>(sym);
     }
   }
-  SMOL_RETURN_IF_ERROR(table.BuildFromLengths());
+  SMOL_RETURN_IF_ERROR(canonical ? table.AssignCanonicalCodes()
+                                 : table.BuildFromLengths());
   return table;
 }
 

@@ -33,7 +33,10 @@ class HuffmanTable {
   /// then the symbols in canonical order (u16 each).
   void Serialize(BitWriter* writer) const;
 
-  /// Reconstructs a table from the wire format.
+  /// Reconstructs a table from the wire format. A symbol list in canonical
+  /// order (ascending within each length, each symbol once: what Serialize
+  /// writes) builds in one pass; any other list is reordered from the code
+  /// lengths it leaves (a repeated symbol keeps its last length).
   static Result<HuffmanTable> Deserialize(BitReader* reader);
 
   /// Writes the code for \p symbol; the symbol must have a code.
@@ -65,8 +68,13 @@ class HuffmanTable {
   int alphabet_size() const { return static_cast<int>(lengths_.size()); }
 
  private:
-  // Builds codes_, first_code_/first_index_ decode acceleration from lengths_.
+  // Builds count_ and sorted_symbols_ from lengths_, then the codes.
   Status BuildFromLengths();
+
+  // Checks the Kraft inequality over count_, then assigns codes_, the
+  // first_code_/first_index_ decode acceleration and the LUT from
+  // sorted_symbols_, which must be in canonical (length, symbol) order.
+  Status AssignCanonicalCodes();
 
   // Lookup's canonical scan for codes longer than kHuffmanLutBits.
   uint32_t LookupLong(uint32_t bits) const;

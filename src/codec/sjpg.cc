@@ -198,18 +198,17 @@ Result<ParsedStream> ParseStream(const std::vector<uint8_t>& bytes) {
   ps.header.mcu_size = color ? 16 : 8;
   ps.header.mcu_cols = (w + ps.header.mcu_size - 1) / ps.header.mcu_size;
   ps.header.mcu_rows = (h + ps.header.mcu_size - 1) / ps.header.mcu_size;
-  for (int i = 0; i < 64; ++i) {
-    SMOL_ASSIGN_OR_RETURN(uint16_t q, reader.ReadU16());
-    if (q == 0) return Status::Corruption("zero quant value");
-    ps.luma_qt.q[i] = q;
-  }
-  if (color) {
+  // Each quant table and the row index below take one bounds check.
+  auto read_quant = [&reader](QuantTable* qt) -> Status {
+    SMOL_ASSIGN_OR_RETURN(const uint8_t* q, reader.ReadBytes(2 * 64));
     for (int i = 0; i < 64; ++i) {
-      SMOL_ASSIGN_OR_RETURN(uint16_t q, reader.ReadU16());
-      if (q == 0) return Status::Corruption("zero quant value");
-      ps.chroma_qt.q[i] = q;
+      qt->q[i] = LoadU16Le(q + 2 * i);
+      if (qt->q[i] == 0) return Status::Corruption("zero quant value");
     }
-  }
+    return Status::OK();
+  };
+  SMOL_RETURN_IF_ERROR(read_quant(&ps.luma_qt));
+  if (color) SMOL_RETURN_IF_ERROR(read_quant(&ps.chroma_qt));
   SMOL_ASSIGN_OR_RETURN(ps.dc_luma, HuffmanTable::Deserialize(&reader));
   SMOL_ASSIGN_OR_RETURN(ps.ac_luma, HuffmanTable::Deserialize(&reader));
   if (color) {
@@ -221,8 +220,10 @@ Result<ParsedStream> ParseStream(const std::vector<uint8_t>& bytes) {
     return Status::Corruption("MCU row count mismatch");
   }
   ps.row_offsets.resize(mcu_rows + 1);
-  for (int i = 0; i <= mcu_rows; ++i) {
-    SMOL_ASSIGN_OR_RETURN(ps.row_offsets[i], reader.ReadU32());
+  SMOL_ASSIGN_OR_RETURN(const uint8_t* index,
+                        reader.ReadBytes(4 * ps.row_offsets.size()));
+  for (size_t i = 0; i < ps.row_offsets.size(); ++i) {
+    ps.row_offsets[i] = LoadU32Le(index + 4 * i);
   }
   ps.entropy_base = reader.byte_position();
   if (ps.entropy_base + ps.row_offsets[mcu_rows] > bytes.size()) {
@@ -297,7 +298,7 @@ Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
     for (int mc = 0; mc < hdr.mcu_cols; ++mc) {
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
-        CoeffBlock cb;
+        DecodedBlock cb;
         SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
                                          &dc_pred[ref.component], &cb));
         if (stats != nullptr) {
@@ -426,7 +427,7 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
       const bool in_roi = mc >= mc0;
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
-        CoeffBlock cb;
+        DecodedBlock cb;
         SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
                                          &dc_pred[ref.component], &cb));
         if (stats != nullptr) stats->entropy_blocks++;

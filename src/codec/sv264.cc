@@ -595,7 +595,7 @@ Status Sv264Decoder::DecodeStoredFrame(int index) {
       }
       // Decode 6 blocks.
       for (int b = 0; b < 6; ++b) {
-        CoeffBlock cb;
+        DecodedBlock cb;
         SMOL_RETURN_IF_ERROR(DecodeBlock(
             &reader, b < 4 ? luma_tables : chroma_tables,
             &dc_pred[b < 4 ? 0 : b - 3], &cb));

@@ -200,8 +200,9 @@ Status FusedConvertNormalizeSplitRoiInto(const Image& src, const Roi& roi,
                                          const NormalizeParams& params,
                                          float* dst, size_t dst_size) {
   if (src.empty()) return Status::InvalidArgument("empty image");
+  // Compared without forming roi.x + roi.width, which can overflow int.
   if (roi.empty() || roi.x < 0 || roi.y < 0 ||
-      roi.x + roi.width > src.width() || roi.y + roi.height > src.height()) {
+      roi.width > src.width() - roi.x || roi.height > src.height() - roi.y) {
     return Status::OutOfRange("ROI exceeds image bounds");
   }
   const int c = src.channels();

@@ -161,8 +161,9 @@ Result<FloatImage> ResizeF32(const FloatImage& src, int out_w, int out_h) {
 
 Result<FloatImage> CropF32(const FloatImage& src, const Roi& roi) {
   if (src.data.empty()) return Status::InvalidArgument("empty float image");
-  if (roi.empty() || roi.x < 0 || roi.y < 0 || roi.x + roi.width > src.width ||
-      roi.y + roi.height > src.height) {
+  // Compared without forming roi.x + roi.width, which can overflow int.
+  if (roi.empty() || roi.x < 0 || roi.y < 0 || roi.width > src.width - roi.x ||
+      roi.height > src.height - roi.y) {
     return Status::OutOfRange("ROI exceeds image bounds");
   }
   FloatImage out;

@@ -185,9 +185,9 @@ Server::Server(ServerOptions options, PipelineSpec pipeline_spec,
 Server::~Server() { Shutdown(); }
 
 void Server::Complete(RequestContext& ctx, InferenceReply reply) {
-  if (ctx.has_promise) {
-    ctx.promise.set_value(reply);
-    ctx.has_promise = false;
+  if (ctx.promise.has_value()) {
+    ctx.promise->set_value(reply);
+    ctx.promise.reset();
   }
   if (ctx.callback) {
     // A throw must not unwind a batcher (std::terminate, and the rest of the
@@ -218,8 +218,7 @@ void Server::Fail(RequestContext& ctx, int label, RequestClass klass,
 
 std::future<InferenceReply> Server::Submit(InferenceRequest request) {
   RequestContext ctx;
-  ctx.has_promise = true;
-  std::future<InferenceReply> future = ctx.promise.get_future();
+  std::future<InferenceReply> future = ctx.promise.emplace().get_future();
   SubmitInternal(std::move(request), std::move(ctx));
   return future;
 }

@@ -314,9 +314,10 @@ class Server {
   using TimePoint = std::chrono::steady_clock::time_point;
 
   /// Per-request completion context: exactly one of promise/callback fires.
+  /// Only Submit's future form engages the promise: constructing one
+  /// allocates its shared state, which a callback request never reads.
   struct RequestContext {
-    std::promise<InferenceReply> promise;
-    bool has_promise = false;
+    std::optional<std::promise<InferenceReply>> promise;
     Callback callback;
     TimePoint submit_time;
   };

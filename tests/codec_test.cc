@@ -1,10 +1,12 @@
-// Unit, integration and property tests for src/codec: bitstream, Huffman,
-// DCT, color, SJPG (roundtrip / ROI / early stop), SPNG (lossless roundtrip /
-// early stop), SV264 (roundtrip / random access / deblock toggle), formats,
+// Unit, integration and property tests for src/codec: bitstream, Huffman
+// (with wire-format parity against the sort-based reference), DCT, color,
+// SJPG (roundtrip / ROI / early stop), SPNG (lossless roundtrip / early
+// stop), SV264 (roundtrip / random access / deblock toggle), formats,
 // block-decoder parity against the symbol-at-a-time reference, and the
 // truncation / bit-flip mutation sweep over every decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -184,6 +186,284 @@ TEST_P(HuffmanPropertyTest, RandomTableRoundtrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HuffmanPropertyTest,
                          ::testing::Range<uint64_t>(0, 20));
 
+// HuffmanTable::Deserialize before the canonical-order fast path, kept as
+// the reference: one ReadU16 per field, a code length per symbol (a
+// repeated symbol keeps its last), then codes assigned over the symbols
+// sorted by (length, symbol). Lookup is HuffmanTable::Lookup (the LUT probe,
+// then the canonical scan) over the state built here.
+struct ReferenceHuffmanTable {
+  std::vector<uint8_t> lengths;
+  std::vector<uint16_t> sorted_symbols;
+  std::vector<uint32_t> lut;
+  int32_t first_code[kMaxHuffmanBits + 1] = {0};
+  int32_t first_index[kMaxHuffmanBits + 1] = {0};
+  int32_t count[kMaxHuffmanBits + 1] = {0};
+
+  static Result<ReferenceHuffmanTable> Deserialize(BitReader* reader) {
+    SMOL_ASSIGN_OR_RETURN(uint16_t raw_size, reader->ReadU16());
+    const int alphabet = raw_size == 0 ? 65536 : raw_size;
+    int counts[kMaxHuffmanBits + 1] = {0};
+    int total = 0;
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+      SMOL_ASSIGN_OR_RETURN(uint16_t c, reader->ReadU16());
+      counts[len] = c;
+      total += c;
+    }
+    if (total > alphabet) return Status::Corruption("too many symbols");
+    ReferenceHuffmanTable t;
+    t.lengths.assign(alphabet, 0);
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+      for (int k = 0; k < counts[len]; ++k) {
+        SMOL_ASSIGN_OR_RETURN(uint16_t sym, reader->ReadU16());
+        if (sym >= alphabet) return Status::Corruption("symbol out of range");
+        t.lengths[sym] = static_cast<uint8_t>(len);
+      }
+    }
+    for (uint8_t len : t.lengths) {
+      if (len > 0) t.count[len]++;
+    }
+    uint64_t kraft = 0;
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+      kraft += static_cast<uint64_t>(t.count[len]) << (kMaxHuffmanBits - len);
+    }
+    if (kraft > (1ULL << kMaxHuffmanBits)) {
+      return Status::Corruption("over-subscribed");
+    }
+    std::vector<int> order;
+    for (int i = 0; i < alphabet; ++i) {
+      if (t.lengths[i] > 0) order.push_back(i);
+    }
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      if (t.lengths[a] != t.lengths[b]) return t.lengths[a] < t.lengths[b];
+      return a < b;
+    });
+    std::vector<uint32_t> codes(alphabet, 0);
+    uint32_t code = 0;
+    int prev_len = 0;
+    int index = 0;
+    std::fill(std::begin(t.first_code), std::end(t.first_code), -1);
+    std::fill(std::begin(t.first_index), std::end(t.first_index), 0);
+    for (int sym : order) {
+      const int len = t.lengths[sym];
+      code <<= (len - prev_len);
+      if (t.first_code[len] < 0) {
+        t.first_code[len] = static_cast<int32_t>(code);
+        t.first_index[len] = index;
+      }
+      codes[sym] = code;
+      t.sorted_symbols.push_back(static_cast<uint16_t>(sym));
+      ++code;
+      ++index;
+      prev_len = len;
+    }
+    t.lut.assign(1u << kHuffmanLutBits, 0);
+    for (int sym : order) {
+      const int len = t.lengths[sym];
+      if (len > kHuffmanLutBits) break;
+      const uint32_t base = codes[sym] << (kHuffmanLutBits - len);
+      for (uint32_t i = 0; i < (1u << (kHuffmanLutBits - len)); ++i) {
+        t.lut[base + i] = (static_cast<uint32_t>(sym) << 8) |
+                          static_cast<uint32_t>(len);
+      }
+    }
+    return t;
+  }
+
+  uint32_t Lookup(uint32_t bits) const {
+    const uint32_t entry = lut[bits >> (kMaxHuffmanBits - kHuffmanLutBits)];
+    if (entry != 0) return entry;
+    for (int len = kHuffmanLutBits + 1; len <= kMaxHuffmanBits; ++len) {
+      const int32_t code =
+          static_cast<int32_t>(bits >> (kMaxHuffmanBits - len));
+      if (first_code[len] >= 0 && code >= first_code[len] &&
+          code < first_code[len] + count[len]) {
+        const uint32_t sym =
+            sorted_symbols[first_index[len] + (code - first_code[len])];
+        return (sym << 8) | static_cast<uint32_t>(len);
+      }
+    }
+    return 0;
+  }
+
+  // The table in HuffmanTable::Serialize's wire format.
+  std::vector<uint8_t> Serialize() const {
+    BitWriter w;
+    w.WriteU16(
+        static_cast<uint16_t>(lengths.size() == 65536 ? 0 : lengths.size()));
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+      w.WriteU16(static_cast<uint16_t>(count[len]));
+    }
+    for (uint16_t sym : sorted_symbols) w.WriteU16(sym);
+    return w.Finish();
+  }
+};
+
+// A wire-format table as fields: alphabet size (0 = 65536), per-length
+// counts and the symbol list.
+struct WireTable {
+  uint16_t raw_size = 0;
+  uint16_t counts[kMaxHuffmanBits + 1] = {0};
+  std::vector<uint16_t> symbols;
+
+  std::vector<uint8_t> Bytes() const {
+    BitWriter w;
+    w.WriteU16(raw_size);
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) w.WriteU16(counts[len]);
+    for (uint16_t sym : symbols) w.WriteU16(sym);
+    return w.Finish();
+  }
+
+  // Ascending within each length and every symbol once: Serialize's order.
+  bool Canonical() const {
+    std::vector<bool> seen(65536, false);
+    size_t i = 0;
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+      for (int k = 0; k < counts[len] && i < symbols.size(); ++k, ++i) {
+        if (seen[symbols[i]] || (k > 0 && symbols[i] <= symbols[i - 1])) {
+          return false;
+        }
+        seen[symbols[i]] = true;
+      }
+    }
+    return true;
+  }
+};
+
+// A seeded table as Serialize writes it for a random code (skewed
+// frequencies reach codes longer than the LUT), then, most of the time, bent
+// into a list Serialize never writes.
+WireTable RandomWireTable(Rng* rng) {
+  const int alphabet =
+      rng->Bernoulli(0.03) ? 65536 : 1 + static_cast<int>(rng->Uniform(300));
+  std::vector<uint64_t> freq(alphabet, 0);
+  const int used = 1 + static_cast<int>(rng->Uniform(std::min(alphabet, 260)));
+  for (int k = 0; k < used; ++k) {
+    freq[rng->Uniform(alphabet)] =
+        1 + (rng->Bernoulli(0.5) ? rng->Uniform(1u << rng->Uniform(30))
+                                 : rng->Uniform(50));
+  }
+  const HuffmanTable table = HuffmanTable::FromFrequencies(freq).MoveValue();
+  BitWriter w;
+  table.Serialize(&w);
+  const std::vector<uint8_t> bytes = w.Finish();
+  WireTable wire;
+  wire.raw_size = LoadU16Le(bytes.data());
+  int total = 0;
+  for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+    wire.counts[len] = LoadU16Le(bytes.data() + 2 * len);
+    total += wire.counts[len];
+  }
+  for (int i = 0; i < total; ++i) {
+    wire.symbols.push_back(LoadU16Le(bytes.data() + 2 * (17 + i)));
+  }
+  const auto pick = [&] { return rng->Uniform(wire.symbols.size()); };
+  switch (rng->Uniform(9)) {
+    case 0:  // unchanged
+      break;
+    case 1:  // unsorted: two symbols trade places
+      std::swap(wire.symbols[pick()], wire.symbols[pick()]);
+      break;
+    case 2:  // a repeated symbol, in its own length or another
+      wire.symbols[pick()] = wire.symbols[pick()];
+      break;
+    case 3:  // a symbol out of range
+      wire.symbols[pick()] = static_cast<uint16_t>(
+          std::min<uint64_t>(65535, alphabet + rng->Uniform(3)));
+      break;
+    case 4: {  // one more code, at a random length: often over-subscribed
+      const int len = 1 + static_cast<int>(rng->Uniform(kMaxHuffmanBits));
+      int at = 0;
+      for (int l = 1; l <= len; ++l) at += wire.counts[l];
+      wire.counts[len]++;
+      wire.symbols.insert(wire.symbols.begin() + at,
+                          static_cast<uint16_t>(rng->Uniform(alphabet)));
+      break;
+    }
+    case 5: {  // a dropped code: canonical but incomplete
+      int len = 1;
+      int at = static_cast<int>(pick());
+      for (int seen = 0; seen + wire.counts[len] <= at; ++len) {
+        seen += wire.counts[len];
+      }
+      wire.counts[len]--;
+      wire.symbols.erase(wire.symbols.begin() + at);
+      break;
+    }
+    case 6:  // more symbols than the alphabet holds
+      wire.counts[1 + rng->Uniform(kMaxHuffmanBits)] += static_cast<uint16_t>(
+          std::min<int>(65535 - total, alphabet + 1));
+      break;
+    case 7:  // random counts over random symbols
+      for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+        wire.counts[len] = static_cast<uint16_t>(
+            rng->Bernoulli(0.4) ? rng->Uniform(1u << (len < 9 ? len : 9)) : 0);
+      }
+      wire.symbols.clear();
+      for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+        for (int k = 0; k < wire.counts[len]; ++k) {
+          wire.symbols.push_back(static_cast<uint16_t>(rng->Uniform(alphabet)));
+        }
+      }
+      break;
+    default:  // reversed within every length
+      for (int len = 1, at = 0; len <= kMaxHuffmanBits; ++len) {
+        std::reverse(wire.symbols.begin() + at,
+                     wire.symbols.begin() + at + wire.counts[len]);
+        at += wire.counts[len];
+      }
+      break;
+  }
+  return wire;
+}
+
+// Status code, every Lookup over all 16-bit windows, the code lengths, the
+// bytes consumed and the re-serialized table all match the reference, on
+// canonical lists (the fast path) and on every other kind (the rebuild),
+// whole and truncated.
+TEST(HuffmanTest, DeserializeMatchesReference) {
+  Rng rng(0x4d0f);
+  int ok_canonical = 0, ok_other = 0, failed = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const WireTable wire = RandomWireTable(&rng);
+    std::vector<uint8_t> bytes = wire.Bytes();
+    if (rng.Bernoulli(0.1)) bytes.resize(rng.Uniform(bytes.size()));
+    bytes.push_back(0xA5);  // the next field in a stream
+    BitReader ref_reader(bytes.data(), bytes.size());
+    BitReader reader(bytes.data(), bytes.size());
+    auto want = ReferenceHuffmanTable::Deserialize(&ref_reader);
+    auto got = HuffmanTable::Deserialize(&reader);
+    ASSERT_EQ(want.status().code(), got.status().code())
+        << "trial " << trial << ": " << want.status().ToString() << " vs "
+        << got.status().ToString();
+    if (!want.ok()) {
+      ++failed;
+      continue;
+    }
+    ++(wire.Canonical() ? ok_canonical : ok_other);
+    const ReferenceHuffmanTable& ref = want.value();
+    const HuffmanTable& table = got.value();
+    ASSERT_EQ(ref_reader.byte_position(), reader.byte_position())
+        << "trial " << trial;
+    uint32_t bad = 0x10000;
+    for (uint32_t bits = 0; bits < 0x10000 && bad == 0x10000; ++bits) {
+      if (ref.Lookup(bits) != table.Lookup(bits)) bad = bits;
+    }
+    ASSERT_EQ(bad, 0x10000u) << "trial " << trial << ": Lookup(" << bad
+                             << ") " << ref.Lookup(bad) << " vs "
+                             << table.Lookup(bad);
+    ASSERT_EQ(table.alphabet_size(), static_cast<int>(ref.lengths.size()));
+    for (int sym = 0; sym < table.alphabet_size(); ++sym) {
+      ASSERT_EQ(table.CodeLength(sym), ref.lengths[sym]) << "trial " << trial;
+    }
+    BitWriter w;
+    table.Serialize(&w);
+    ASSERT_EQ(w.Finish(), ref.Serialize()) << "trial " << trial;
+  }
+  EXPECT_GT(ok_canonical, 50);
+  EXPECT_GT(ok_other, 50);
+  EXPECT_GT(failed, 50);
+}
+
 // --- DCT -----------------------------------------------------------------------
 
 TEST(DctTest, RoundtripIsNearLossless) {
@@ -272,14 +552,12 @@ TEST(DctTest, QuantizeDequantizeRoundtrip) {
 }
 
 // ReconstructBlockScaled as it was before it read only the n x n corner:
-// dezigzag and dequantize all 64 coefficients, then InverseDctScaled.
-void ReferenceReconstructBlockScaled(const CoeffBlock& block,
+// dequantize all 64 coefficients, then InverseDctScaled.
+void ReferenceReconstructBlockScaled(const DecodedBlock& block,
                                      const QuantTable& qt, int n,
                                      int16_t* out) {
-  int16_t natural[64];
-  for (int i = 0; i < 64; ++i) natural[kZigZag[i]] = block.zz[i];
   float dct[64];
-  Dequantize(natural, qt, dct);
+  Dequantize(block.coef, qt, dct);
   InverseDctScaled(dct, n, out);
 }
 
@@ -293,8 +571,8 @@ TEST(DctTest, ScaledReconstructMatchesFullDequantizeReference) {
         // some blocks clamp at the IDCT's [-256, 255].
         const double zero_share = rng.UniformDouble();
         const int64_t magnitude = int64_t{1} << rng.UniformInt(1, 11);
-        CoeffBlock block;
-        for (int16_t& c : block.zz) {
+        DecodedBlock block;
+        for (int16_t& c : block.coef) {
           c = rng.Bernoulli(zero_share) ? 0
                                         : static_cast<int16_t>(rng.UniformInt(
                                               -magnitude, magnitude - 1));
@@ -964,12 +1242,14 @@ struct DecoderPair {
   }
 
   // Decodes one block with both. Returns "" when they agree (same status
-  // code; when OK, the same coefficients, DC predictor and reader position),
-  // else what differed. *ok reports the shared status.
+  // code; when OK, the same coefficients -- the reference's zig-zag block
+  // dezigzagged against DecodeBlock's natural order -- DC predictor and
+  // reader position), else what differed. *ok reports the shared status.
   std::string Block(const HuffmanTable& dc, const HuffmanTable& ac,
                     const BlockDecodeTables& tables, int* ref_pred,
                     int* fast_pred, bool* ok) {
-    CoeffBlock want, got;
+    CoeffBlock want;
+    DecodedBlock got;
     const Status ws = ReferenceDecodeBlock(&ref, dc, ac, ref_pred, &want);
     const Status gs = DecodeBlock(&fast, tables, fast_pred, &got);
     *ok = ws.ok();
@@ -977,8 +1257,10 @@ struct DecoderPair {
       return "status " + ws.ToString() + " vs " + gs.ToString();
     }
     if (!ws.ok()) return "";
-    if (std::memcmp(want.zz, got.zz, sizeof(want.zz)) != 0) {
-      return "coefficients differ";
+    for (int i = 0; i < 64; ++i) {
+      if (want.zz[i] != got.coef[kZigZag[i]]) {
+        return "coefficient " + std::to_string(i) + " (zig-zag) differs";
+      }
     }
     if (*ref_pred != *fast_pred) return "DC predictor differs";
     if (ref.bit_position() != fast.bit_position()) {

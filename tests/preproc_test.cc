@@ -2,6 +2,7 @@
 // (legality + cost ordering + result equivalence), and placement.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -113,6 +114,15 @@ TEST(OpsTest, ChannelSplitTransposesLayout) {
   EXPECT_NEAR(chw.data[2] * 255.0f, 20.0f, 0.01f);
 }
 
+// An ROI whose end overflows int is rejected, not wrapped past the check.
+TEST(OpsTest, CropF32RejectsRoiWhoseEndOverflows) {
+  ASSERT_OK_AND_ASSIGN(FloatImage f, ConvertToFloat(MakeTestImage(32, 32, 3)));
+  EXPECT_EQ(CropF32(f, Roi{INT_MAX - 7, 0, 16, 16}).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(CropF32(f, Roi{0, INT_MAX - 7, 16, 16}).status().code(),
+            StatusCode::kOutOfRange);
+}
+
 // --- Fused kernel ------------------------------------------------------------------
 
 TEST(FusedTest, MatchesUnfusedPipelineExactly) {
@@ -141,6 +151,19 @@ TEST(FusedTest, IntoVariantWritesCallerBuffer) {
   // Too-small buffer is rejected.
   EXPECT_FALSE(
       FusedConvertNormalizeSplitInto(img, params, buffer.data(), 10).ok());
+}
+
+TEST(FusedTest, RoiIntoRejectsRoiWhoseEndOverflows) {
+  const Image img = MakeTestImage(32, 32, 3);
+  NormalizeParams params;
+  std::vector<float> buffer(16 * 16 * 3);
+  for (const Roi& roi :
+       {Roi{INT_MAX - 7, 0, 16, 16}, Roi{0, INT_MAX - 7, 16, 16}}) {
+    EXPECT_EQ(FusedConvertNormalizeSplitRoiInto(img, roi, params,
+                                                buffer.data(), buffer.size())
+                  .code(),
+              StatusCode::kOutOfRange);
+  }
 }
 
 // --- DAG optimizer --------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -346,6 +347,62 @@ TEST(SimdExactTest, BlockStoreMatchesScalar) {
                                 << " at (" << bx << ", " << by
                                 << ") level=" << SimdLevelName(level);
           }
+        }
+      }
+    }
+  }
+}
+
+// The YCbCr -> RGB row kernel against YccToRgb for all 2^24 (y, cb, cr),
+// extreme chroma with extreme luma included. 256 frames of 128x512: chroma
+// sample (row k, column j) of frame c holds cr = k and cb = (c + j) mod 256,
+// and the four luma pixels it covers hold 4j .. 4j + 3, so each triple lands
+// on exactly one pixel and neighbouring chroma samples always differ. Only
+// AVX2 has a row kernel; below it the sweep would check YccToRgb against
+// itself.
+TEST(SimdExactTest, YccToRgbEveryTriple) {
+  if (DetectedSimdLevel() < SimdLevel::kAVX2) {
+    GTEST_SKIP() << "no AVX2 row kernel on this host";
+  }
+  Ycbcr420 ycc;
+  ycc.width = 128;
+  ycc.height = 512;
+  const int cw = ycc.chroma_width();
+  ycc.y.resize(static_cast<size_t>(ycc.width) * ycc.height);
+  ycc.cb.resize(static_cast<size_t>(cw) * ycc.chroma_height());
+  ycc.cr.resize(ycc.cb.size());
+  for (int y = 0; y < ycc.height; ++y) {
+    for (int x = 0; x < ycc.width; ++x) {
+      ycc.y[static_cast<size_t>(y) * ycc.width + x] =
+          static_cast<uint8_t>(4 * (x / 2) + 2 * (y % 2) + x % 2);
+    }
+  }
+  ScopedSimdLevelCap cap(SimdLevel::kAVX2);
+  Image rgb;
+  for (int c = 0; c < 256; ++c) {
+    for (int k = 0; k < ycc.chroma_height(); ++k) {
+      for (int j = 0; j < cw; ++j) {
+        ycc.cb[static_cast<size_t>(k) * cw + j] =
+            static_cast<uint8_t>((c + j) & 255);
+        ycc.cr[static_cast<size_t>(k) * cw + j] = static_cast<uint8_t>(k);
+      }
+    }
+    Ycbcr420ToRgbInto(ycc, &rgb);
+    for (int y = 0; y < ycc.height; ++y) {
+      for (int x = 0; x < ycc.width; ++x) {
+        const size_t chroma = static_cast<size_t>(y / 2) * cw + x / 2;
+        uint8_t want[3];
+        YccToRgb(ycc.y[static_cast<size_t>(y) * ycc.width + x],
+                 ycc.cb[chroma], ycc.cr[chroma], &want[0], &want[1],
+                 &want[2]);
+        const uint8_t* got = rgb.row(y) + x * 3;
+        if (std::memcmp(want, got, 3) != 0) {
+          FAIL() << "y " << int{ycc.y[static_cast<size_t>(y) * ycc.width + x]}
+                 << " cb " << int{ycc.cb[chroma]} << " cr "
+                 << int{ycc.cr[chroma]} << ": (" << int{got[0]} << ", "
+                 << int{got[1]} << ", " << int{got[2]} << ") vs ("
+                 << int{want[0]} << ", " << int{want[1]} << ", "
+                 << int{want[2]} << ")";
         }
       }
     }
