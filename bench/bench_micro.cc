@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: codecs, fused vs
-// unfused preprocessing, MPMC queue, DCT, GEMM, resize, tensor cache. These
-// are the ablation knobs DESIGN.md calls out, measured in isolation.
+// unfused preprocessing, MPMC queue, DCT, GEMM, resize, tensor cache, and the
+// simulated device's per-batch wake-up. These are the ablation knobs
+// DESIGN.md calls out, measured in isolation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "src/codec/spng.h"
 #include "src/data/synth_image.h"
 #include "src/dnn/gemm.h"
+#include "src/hw/sim_accelerator.h"
 #include "src/preproc/fused.h"
 #include "src/preproc/ops.h"
 #include "src/preproc/resize.h"
@@ -243,6 +245,24 @@ void BM_MpmcQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_MpmcQueueThroughput);
+
+// One 1-image, 86,700-byte pinned batch on a 200,000 im/s simulated device:
+// burst_cycle's batch, 22.9 us modelled. This row measures the simulator,
+// not a kernel: real time per batch over the modelled_us counter is what a
+// caller pays for the device's wake-up.
+void BM_SimDeviceBatch(benchmark::State& state) {
+  SimAccelerator::Options options;
+  options.dnn_throughput_ims = 200000.0;
+  SimAccelerator device(options);
+  constexpr size_t kBytes = 86700;
+  for (auto _ : state) device.ExecuteBatch(1, kBytes, /*pinned=*/true);
+  const DeviceStats stats = device.stats();
+  state.counters["modelled_us"] =
+      (stats.compute_seconds + stats.transfer_seconds) * 1e6 /
+      static_cast<double>(stats.batches);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimDeviceBatch)->UseRealTime();
 
 // The serving path's cache traffic without the serving path: a seeded
 // zipf(1.0) trace over 2,048 keys through the default 8 shards at 32 MiB,

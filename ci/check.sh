@@ -4,7 +4,7 @@
 #   ci/check.sh                          # plain build + all suites
 #   ci/check.sh --sanitize               # ASan/UBSan build, every suite
 #   ci/check.sh --tsan                   # TSan build, concurrency suites
-#                                        #   (util/runtime/serving/
+#                                        #   (util/hw/runtime/serving/
 #                                        #   tensor_cache)
 #   ci/check.sh --werror                 # add -DSMOL_WERROR=ON (combinable)
 #   ci/check.sh --bench-smoke [out]      # bench_micro + bench_serving smoke
@@ -49,15 +49,16 @@ while [[ $# -gt 0 ]]; do
       WANT_TSAN=1
       BUILD_DIR=build-tsan
       # TSan targets the threaded serving stack: the MPMC queue / histogram /
-      # pool primitives, batch runs, the sharded server, and the tensor
-      # cache's shards (LRU lists and frequency sketches). The
+      # pool primitives, the simulated device's clock (shared by concurrent
+      # batchers), batch runs, the sharded server, and the tensor cache's
+      # shards (LRU lists and frequency sketches). The
       # compute-heavy single-threaded suites add hours under TSan for no
       # thread coverage, so the run is scoped to the concurrency suites.
       # SMOL_SANITIZE_THREAD also forces GoogleTest to build from source so
       # every library in the process is instrumented.
       CMAKE_ARGS+=(-DSMOL_SANITIZE_THREAD=ON -DSMOL_BUILD_BENCH=OFF
                    -DSMOL_BUILD_EXAMPLES=OFF)
-      CTEST_ARGS+=(-R 'util_test|runtime_test|serving_test|tensor_cache_test')
+      CTEST_ARGS+=(-R 'util_test|hw_test|runtime_test|serving_test|tensor_cache_test')
       ;;
     --werror)
       shift

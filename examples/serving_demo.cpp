@@ -55,6 +55,15 @@ void PrintStats(const char* title, const ServerStats& s) {
               "p99.9 %.2f ms\n",
               s.latency.p50_us / 1000.0, s.latency.p90_us / 1000.0,
               s.latency.p99_us / 1000.0, s.latency.p999_us / 1000.0);
+  // Modelled device time next to the wall time callers spent inside
+  // ExecuteBatch. Wall time is scaled by any time_scale and also counts
+  // time a batch queued behind another batcher's on the same device; the
+  // rest of the gap is how late the simulator's wake-ups run.
+  std::printf("  device modelled %.4f s (compute %.4f + transfer %.4f), "
+              "wall %.4f s\n",
+              s.accel_stats.compute_seconds + s.accel_stats.transfer_seconds,
+              s.accel_stats.compute_seconds, s.accel_stats.transfer_seconds,
+              s.accel_stats.wall_seconds);
   std::printf("  throughput %.0f im/s over %.2f s\n\n", s.throughput_ims,
               s.wall_seconds);
 }

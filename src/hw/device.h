@@ -29,6 +29,11 @@ struct DeviceStats {
   uint64_t chunks = 0;            ///< total scatter-gather descriptors
   double compute_seconds = 0.0;   ///< modelled device-busy time
   double transfer_seconds = 0.0;  ///< modelled DMA time
+  /// Summed real time callers spent inside ExecuteBatch. With one caller
+  /// at a time, its excess over the modelled seconds (times any time scale)
+  /// is how late a simulated device's wake-ups run; concurrent callers add
+  /// the time a batch queued behind another's.
+  double wall_seconds = 0.0;
 };
 
 /// \brief One inference device behind the serving runtime.

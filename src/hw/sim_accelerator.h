@@ -2,16 +2,33 @@
 //
 // The runtime engine's consumers submit batches here; the simulator enforces
 // calibrated service times (compute from the throughput model, transfers from
-// the transfer model) by sleeping, so pipelining CPU preprocessing against
-// the "device" is a real wall-clock phenomenon measurable by benches — while
-// the host CPUs stay free for preprocessing, exactly like a real accelerator.
+// the transfer model) by blocking the caller, so pipelining CPU preprocessing
+// against the "device" is a real wall-clock phenomenon measurable by benches —
+// while the host CPUs stay free for preprocessing, exactly like a real
+// accelerator.
 //
-// Concurrency model: one compute engine (batches serialize on it) plus a DMA
-// engine. With >= 2 streams, transfer for batch i+1 overlaps compute for
-// batch i (copy/compute overlap); with 1 stream they serialize.
+// Concurrency model: a device clock with one compute engine (batches
+// serialize on it) plus a DMA engine, each recording when it is next free.
+// Under one short lock a batch reserves its transfer at max(now, DMA free)
+// and its compute at max(end of transfer, compute free). With >= 2 streams,
+// transfer for batch i+1 overlaps compute for batch i (copy/compute
+// overlap); with 1 stream one engine does both, so they serialize. The
+// caller then waits once, outside the lock, until the reserved completion
+// time. A late wake-up delays only that batch's return; the next batch's
+// modelled start does not move.
+//
+// The wait does not spin (host CPU stays free). On Linux it sleeps on an
+// absolute CLOCK_MONOTONIC deadline and, on the first batch a thread
+// submits, sets that thread's timer slack to 1 us (prctl PR_SET_TIMERSLACK):
+// the default 50 us slack makes every sleep wake ~60 us late, which would
+// swamp a ~20 us modelled batch. The lower slack stays on the calling thread
+// and applies to its other timed waits too. Elsewhere it uses
+// std::this_thread::sleep_until.
 #ifndef SMOL_HW_SIM_ACCELERATOR_H_
 #define SMOL_HW_SIM_ACCELERATOR_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -44,14 +61,16 @@ class SimAccelerator : public Device {
   explicit SimAccelerator(Options options);
 
   /// Executes one batch: charges transfer (overlappable) + compute time.
-  /// Blocks the calling thread for the modelled duration. \p chunks is the
-  /// scatter-gather descriptor count of the submission (1 = contiguous;
-  /// the zero-copy runtime submits one chunk per pooled sample buffer).
+  /// Blocks the calling thread until the batch's reserved completion time
+  /// on the device clock. \p chunks is the scatter-gather descriptor count
+  /// of the submission (1 = contiguous; the zero-copy runtime submits one
+  /// chunk per pooled sample buffer).
   void ExecuteBatch(int batch_size, size_t input_bytes, bool pinned,
                     int chunks = 1) override;
 
-  /// Every ExecuteBatch blocks until its batch completes, so draining only
-  /// has to wait out submissions still holding the engines.
+  /// Waits until no ExecuteBatch is in flight (the in-flight count reaches
+  /// zero). Submissions that start after Drain returns are the caller's
+  /// problem, as with cudaDeviceSynchronize.
   void Drain() override;
 
   /// Cumulative counters (the fleet-generic DeviceStats).
@@ -67,12 +86,14 @@ class SimAccelerator : public Device {
   const Options& options() const { return options_; }
 
  private:
-  void SleepModeled(double modeled_seconds);
+  using Clock = std::chrono::steady_clock;
 
   Options options_;
-  std::mutex compute_mutex_;  // the single compute engine
-  std::mutex dma_mutex_;      // the single DMA engine
-  mutable std::mutex stats_mutex_;
+  mutable std::mutex mutex_;  // guards the clock, in_flight_ and stats_
+  std::condition_variable drained_;
+  Clock::time_point dma_free_{};      // when the DMA engine is next idle
+  Clock::time_point compute_free_{};  // when the compute engine is next idle
+  int in_flight_ = 0;
   Stats stats_;
 };
 

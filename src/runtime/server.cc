@@ -636,6 +636,7 @@ ServerStats Server::stats() const {
     s.accel_stats.chunks += ss.device_stats.chunks;
     s.accel_stats.compute_seconds += ss.device_stats.compute_seconds;
     s.accel_stats.transfer_seconds += ss.device_stats.transfer_seconds;
+    s.accel_stats.wall_seconds += ss.device_stats.wall_seconds;
   }
   if (cache_ != nullptr) s.tensor_cache = cache_->stats();
   return s;

@@ -2,9 +2,9 @@
 //
 // The paper's runtime engine (§6.1) pipelines preprocessing producers and DNN
 // execution consumers through an MPMC queue (folly::MPMCQueue in the original).
-// This is a from-scratch bounded ticket-based queue in the same spirit: a ring
-// of turn-sequenced slots, blocking push/pop with condition variables, and a
-// close() protocol so consumers drain and exit cleanly.
+// This one is a mutex around a std::queue with two condition variables (one
+// for "not full", one for "not empty"): push blocks while full, pop blocks
+// while empty, and a close() protocol lets consumers drain and exit cleanly.
 #ifndef SMOL_UTIL_MPMC_QUEUE_H_
 #define SMOL_UTIL_MPMC_QUEUE_H_
 

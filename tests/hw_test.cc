@@ -250,6 +250,103 @@ TEST(SimAcceleratorTest, TimeScaleShrinksRealTimeNotModeledTime) {
   EXPECT_NEAR(accel.stats().compute_seconds, 0.1, 1e-6);
 }
 
+// --- SimAccelerator device clock ------------------------------------------------------
+//
+// These assert lower bounds and counts only, never an upper bound on wall
+// time: a loaded 1-core host or TSan may wake any thread arbitrarily late.
+
+// T = 4 ms transfer (a 4 ms per-transfer latency dominates the 100 bytes),
+// C = 10 ms compute for a 50-image batch.
+constexpr int kClockBatch = 50;
+constexpr size_t kClockBytes = 100;
+
+SimAccelerator::Options ClockOptions(int num_streams) {
+  SimAccelerator::Options opts;
+  opts.dnn_throughput_ims = 5000.0;
+  opts.transfer.latency_us = 4000.0;
+  opts.num_streams = num_streams;
+  return opts;
+}
+
+double ClockTransferSeconds(const SimAccelerator& accel) {
+  return accel.options().transfer.GatherMicros(kClockBytes, 1, true) * 1e-6;
+}
+
+double ClockComputeSeconds(const SimAccelerator& accel) {
+  return kClockBatch / accel.options().dnn_throughput_ims;
+}
+
+double TwoConcurrentBatchesSeconds(SimAccelerator& accel) {
+  Stopwatch sw;
+  std::thread a([&] { accel.ExecuteBatch(kClockBatch, kClockBytes, true); });
+  std::thread b([&] { accel.ExecuteBatch(kClockBatch, kClockBytes, true); });
+  a.join();
+  b.join();
+  return sw.ElapsedSeconds();
+}
+
+// With two streams the second transfer may overlap the first compute, but
+// compute serializes on one engine: the pair takes at least T + 2C.
+TEST(SimDeviceClockTest, TwoStreamsSerializeComputeAfterOneTransfer) {
+  SimAccelerator accel(ClockOptions(2));
+  const double t = ClockTransferSeconds(accel);
+  const double c = ClockComputeSeconds(accel);
+  EXPECT_GE(TwoConcurrentBatchesSeconds(accel), t + 2 * c);
+  EXPECT_EQ(accel.stats().batches, 2u);
+}
+
+// With one stream a single engine does transfer then compute for each
+// batch: the pair takes at least 2(T + C).
+TEST(SimDeviceClockTest, OneStreamSerializesTransferAndCompute) {
+  SimAccelerator accel(ClockOptions(1));
+  const double t = ClockTransferSeconds(accel);
+  const double c = ClockComputeSeconds(accel);
+  EXPECT_GE(TwoConcurrentBatchesSeconds(accel), 2 * (t + c));
+  EXPECT_EQ(accel.stats().batches, 2u);
+}
+
+// A batch blocks its caller until its modelled completion, so the summed
+// wall time inside ExecuteBatch never falls below the modelled seconds.
+TEST(SimDeviceClockTest, WallSecondsCoverModelledSeconds) {
+  SimAccelerator::Options opts;
+  opts.dnn_throughput_ims = 200000.0;  // a few-us batch: wake-up dominated
+  SimAccelerator accel(opts);
+  for (int i = 1; i <= 20; ++i) {
+    accel.ExecuteBatch(i % 4 + 1, 86700, true, i % 4 + 1);
+    const DeviceStats stats = accel.stats();
+    EXPECT_GE(stats.wall_seconds,
+              stats.compute_seconds + stats.transfer_seconds)
+        << "after batch " << i;
+  }
+}
+
+// Concurrent submitters share the clock: after Drain every batch and image
+// is counted exactly once.
+TEST(SimDeviceClockTest, DrainCountsEveryConcurrentBatch) {
+  constexpr int kThreads = 4;
+  constexpr int kBatchesPerThread = 25;
+  constexpr int kImages = 3;
+  SimAccelerator::Options opts;
+  opts.dnn_throughput_ims = 1e6;
+  SimAccelerator accel(opts);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&accel] {
+      for (int i = 0; i < kBatchesPerThread; ++i) {
+        accel.ExecuteBatch(kImages, 1000, true);
+      }
+    });
+  }
+  for (auto& s : submitters) s.join();
+  accel.Drain();
+  const DeviceStats stats = accel.stats();
+  EXPECT_EQ(stats.batches, static_cast<uint64_t>(kThreads) * kBatchesPerThread);
+  EXPECT_EQ(stats.images,
+            static_cast<uint64_t>(kThreads) * kBatchesPerThread * kImages);
+  EXPECT_GE(stats.wall_seconds,
+            stats.compute_seconds + stats.transfer_seconds);
+}
+
 // --- Device interface + fleets --------------------------------------------------------
 
 // SimAccelerator is usable purely through the Device interface: submit,

@@ -73,6 +73,12 @@ TEST_F(RunToCompletionTest, ProcessesAllImages) {
   EXPECT_EQ(stats.completed, requests_.size());
   EXPECT_GT(stats.throughput_ims, 0.0);
   EXPECT_EQ(stats.accel_stats.images, requests_.size());
+  // The fleet roll-up carries the wall time batches spent in the device,
+  // which never falls below their modelled time.
+  EXPECT_GE(stats.accel_stats.wall_seconds,
+            stats.accel_stats.compute_seconds +
+                stats.accel_stats.transfer_seconds);
+  EXPECT_GT(stats.accel_stats.wall_seconds, 0.0);
   // The run ends with the server shut down: later traffic is cancelled.
   EXPECT_EQ(server.Submit(requests_[0]).get().status.code(),
             StatusCode::kCancelled);

@@ -9,14 +9,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <future>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/util/buffer_pool.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -272,9 +271,9 @@ TEST(TensorCacheTest, HashBytesIsStableAndSensitive) {
   EXPECT_NE(TensorCache::HashCombine(1, 2), TensorCache::HashCombine(2, 1));
 }
 
-// Concurrent Get/Put over a shared key range, scheduled on the thread pool:
-// no crashes, no lost values, and the books stay consistent.
-TEST(TensorCacheTest, ConcurrentGetPutUnderThreadPool) {
+// Concurrent Get/Put over a shared key range from several threads: no
+// crashes, no lost values, and the books stay consistent.
+TEST(TensorCacheTest, ConcurrentGetPutFromThreads) {
   TensorCache::Options options;
   options.shards = 8;
   options.capacity_bytes = 256 * 1024;
@@ -282,12 +281,11 @@ TEST(TensorCacheTest, ConcurrentGetPutUnderThreadPool) {
   constexpr int kWorkers = 8;
   constexpr int kOpsPerWorker = 2000;
   constexpr uint64_t kKeySpace = 64;
-  ThreadPool pool(kWorkers);
   std::atomic<uint64_t> observed_hits{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kWorkers);
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
-    futures.push_back(pool.Submit([&cache, &observed_hits, w] {
+    workers.emplace_back([&cache, &observed_hits, w] {
       for (int i = 0; i < kOpsPerWorker; ++i) {
         const uint64_t k = static_cast<uint64_t>(w * 31 + i) % kKeySpace;
         if (auto hit = cache.Get(MakeKey(k))) {
@@ -298,9 +296,9 @@ TEST(TensorCacheTest, ConcurrentGetPutUnderThreadPool) {
           cache.Put(MakeKey(k), MakeTensor(64, static_cast<uint8_t>(k)));
         }
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& t : workers) t.join();
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, observed_hits.load());
   EXPECT_EQ(stats.hits + stats.misses,

@@ -1,11 +1,10 @@
-// Unit and property tests for src/util: Status/Result, MPMC queue, thread
-// pool, buffer pool, RNG, stopwatch.
+// Unit and property tests for src/util: Status/Result, MPMC queue, buffer
+// pool, RNG, stopwatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <set>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
-#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -180,47 +178,6 @@ TEST(MpmcQueueTest, BlockedConsumersWakeOnClose) {
   consumer.join();
 }
 
-// --- ThreadPool -----------------------------------------------------------------
-
-TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([&counter] { counter++; }));
-  }
-  for (auto& f : futures) f.wait();
-  EXPECT_EQ(counter.load(), 50);
-  EXPECT_EQ(pool.tasks_executed(), 50u);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i]++; });
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndOne) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&](size_t) { calls++; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    calls++;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, DefaultsToHardwareConcurrency) {
-  ThreadPool pool;
-  EXPECT_GE(pool.num_threads(), 1u);
-}
-
 // --- BufferPool ------------------------------------------------------------------
 
 TEST(BufferPoolTest, ReusesReturnedBuffers) {
@@ -336,42 +293,41 @@ TEST(BufferPoolTest, PinnedFlagSurvivesReuse) {
   EXPECT_TRUE(reused->pinned);  // registration survives the free list
 }
 
-// --- Concurrency stress (thread_pool-driven) ---------------------------------
+// --- Concurrency stress ------------------------------------------------------
 
-// Producers and consumers scheduled on a ThreadPool hammer a small MpmcQueue;
+// Producer and consumer threads hammer a small MpmcQueue;
 // every pushed item must be popped exactly once. (Ordering across consumers is
 // not observable: Pop and the recording of the result are not one atomic step.)
-TEST(ConcurrencyStressTest, ThreadPoolDrivenMpmcQueueDeliversExactlyOnce) {
+TEST(ConcurrencyStressTest, MpmcQueueDeliversExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 5000;
   MpmcQueue<std::pair<int, int>> q(8);  // tiny capacity maximizes contention
-  ThreadPool pool(kProducers + kConsumers);
 
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    futures.push_back(pool.Submit([&q, p] {
+    producers.emplace_back([&q, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         ASSERT_TRUE(q.Push({p, i}));
       }
-    }));
+    });
   }
 
   std::mutex seen_mutex;
   std::vector<std::vector<int>> seen(kProducers);
-  std::vector<std::future<void>> consumer_futures;
+  std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
-    consumer_futures.push_back(pool.Submit([&] {
+    consumers.emplace_back([&] {
       while (auto item = q.Pop()) {
         std::lock_guard<std::mutex> lock(seen_mutex);
         seen[item->first].push_back(item->second);
       }
-    }));
+    });
   }
 
-  for (auto& f : futures) f.get();
+  for (auto& t : producers) t.join();
   q.Close();
-  for (auto& f : consumer_futures) f.get();
+  for (auto& t : consumers) t.join();
 
   for (int p = 0; p < kProducers; ++p) {
     ASSERT_EQ(seen[p].size(), static_cast<size_t>(kPerProducer));
@@ -388,25 +344,24 @@ TEST(ConcurrencyStressTest, SingleConsumerObservesPerProducerFifo) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 3000;
   MpmcQueue<std::pair<int, int>> q(8);
-  ThreadPool pool(kProducers + 1);
 
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    futures.push_back(pool.Submit([&q, p] {
+    producers.emplace_back([&q, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         ASSERT_TRUE(q.Push({p, i}));
       }
-    }));
+    });
   }
   std::vector<std::vector<int>> seen(kProducers);
-  auto consumer = pool.Submit([&] {
+  std::thread consumer([&] {
     while (auto item = q.Pop()) {
       seen[item->first].push_back(item->second);
     }
   });
-  for (auto& f : futures) f.get();
+  for (auto& t : producers) t.join();
   q.Close();
-  consumer.get();
+  consumer.join();
 
   for (int p = 0; p < kProducers; ++p) {
     ASSERT_EQ(seen[p].size(), static_cast<size_t>(kPerProducer));
@@ -419,17 +374,16 @@ TEST(ConcurrencyStressTest, SingleConsumerObservesPerProducerFifo) {
 // no buffer is ever handed to two holders at once (each holder stamps a
 // unique tag into the buffer and verifies it survives the critical section),
 // sizes are exact, and the stats counters are consistent with the traffic.
-TEST(ConcurrencyStressTest, ThreadPoolDrivenBufferPoolNoAliasedHandouts) {
+TEST(ConcurrencyStressTest, BufferPoolNoAliasedHandouts) {
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 2000;
   const size_t kSizes[] = {64, 1000, 4096, 70000};
   BufferPool pool;
-  ThreadPool workers(kThreads);
   std::atomic<uint32_t> tag_source{1};
 
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    futures.push_back(workers.Submit([&, t] {
+    workers.emplace_back([&, t] {
       Rng rng(1234 + t);
       for (int i = 0; i < kItersPerThread; ++i) {
         const size_t size = kSizes[rng.UniformInt(0, 3)];
@@ -450,9 +404,9 @@ TEST(ConcurrencyStressTest, ThreadPoolDrivenBufferPoolNoAliasedHandouts) {
         ASSERT_EQ(readback, tag) << "buffer aliased between two holders";
         pool.Put(std::move(buf));
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& t : workers) t.join();
 
   const auto stats = pool.stats();
   const uint64_t total = static_cast<uint64_t>(kThreads) * kItersPerThread;
@@ -469,33 +423,32 @@ TEST(ConcurrencyStressTest, BufferPoolThroughMpmcQueuePipeline) {
   constexpr int kPerProducer = 1500;
   BufferPool pool;
   MpmcQueue<std::unique_ptr<PooledBuffer>> q(16);
-  ThreadPool workers(kProducers + kConsumers);
 
-  std::vector<std::future<void>> futures;
+  std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    futures.push_back(workers.Submit([&, p] {
+    producers.emplace_back([&, p] {
       Rng rng(99 + p);
       for (int i = 0; i < kPerProducer; ++i) {
         auto buf = pool.Get(static_cast<size_t>(rng.UniformInt(1, 8192)));
         buf->data[0] = static_cast<uint8_t>(p);
         ASSERT_TRUE(q.Push(std::move(buf)));
       }
-    }));
+    });
   }
   std::atomic<int> consumed{0};
-  std::vector<std::future<void>> consumer_futures;
+  std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
-    consumer_futures.push_back(workers.Submit([&] {
+    consumers.emplace_back([&] {
       while (auto buf = q.Pop()) {
         ASSERT_LT((*buf)->data[0], kProducers);
         pool.Put(std::move(*buf));
         consumed.fetch_add(1);
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& t : producers) t.join();
   q.Close();
-  for (auto& f : consumer_futures) f.get();
+  for (auto& t : consumers) t.join();
 
   EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
   EXPECT_EQ(pool.stats().returns,
