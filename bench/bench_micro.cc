@@ -85,20 +85,29 @@ void BM_YccToRgb(benchmark::State& state) {
 }
 BENCHMARK(BM_YccToRgb)->Arg(128);
 
-// Reduced-resolution decode at denominator 2: the serving plan ladder's
-// bottom rung, where entropy decoding is most of the cost.
-void BM_SjpgDecodeScaled(benchmark::State& state) {
+void ScaledDecode(benchmark::State& state, int denom) {
   const Image img = BenchImage(static_cast<int>(state.range(0)));
   const auto bytes = SjpgEncode(img, {.quality = 85}).MoveValue();
   SjpgDecodeOptions opts;
-  opts.scale_denom = 2;
+  opts.scale_denom = denom;
   for (auto _ : state) {
     auto decoded = SjpgDecode(bytes, opts);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// Reduced-resolution decode at denominator 2: the serving plan ladder's
+// bottom rung, where entropy decoding is most of the cost.
+void BM_SjpgDecodeScaled(benchmark::State& state) { ScaledDecode(state, 2); }
 BENCHMARK(BM_SjpgDecodeScaled)->Arg(128);
+
+// Denominators 4 and 8 (2x2 and DC-only inverse transforms): what is left
+// is nearly all entropy decoding, the floor under every rung.
+void BM_SjpgDecodeScaled4(benchmark::State& state) { ScaledDecode(state, 4); }
+BENCHMARK(BM_SjpgDecodeScaled4)->Arg(128);
+void BM_SjpgDecodeScaled8(benchmark::State& state) { ScaledDecode(state, 8); }
+BENCHMARK(BM_SjpgDecodeScaled8)->Arg(128);
 
 void BM_SjpgRoiDecode(benchmark::State& state) {
   const Image img = BenchImage(256);

@@ -264,88 +264,91 @@ Result<SjpgHeader> SjpgPeekHeader(const std::vector<uint8_t>& bytes) {
 
 namespace {
 
-// Multi-resolution decode path: full entropy decode, scaled inverse
-// transforms (n = 8 / scale_denom per block side), output at 1/denom size.
-// Emits into *out, reusing its storage.
-Status DecodeScaled(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
-                    int denom, Image* out, SjpgDecodeStats* stats) {
-  const SjpgHeader& hdr = ps.header;
-  const bool color = hdr.channels == 3;
-  const int n = 8 / denom;  // scaled block side
-  const int out_w = (hdr.width + denom - 1) / denom;
-  const int out_h = (hdr.height + denom - 1) / denom;
+// The MCU band one decode covers and the part of it the output keeps: MCU
+// rows [mr0, mr1) and columns [mc0, mc1), and `crop` in the band's output
+// pixels (origin at MCU (mr0, mc0)).
+struct Band {
+  int mr0, mr1, mc0, mc1;
+  Roi crop;
+};
 
-  PlaneSet planes;
-  planes.w = ps.header.mcu_cols * (color ? 2 * n : n);
-  planes.h = ps.header.mcu_rows * (color ? 2 * n : n);
-  planes.y.assign(static_cast<size_t>(planes.w) * planes.h, 0);
+// The one SJPG decode loop, shared by full, ROI and reduced-resolution
+// decodes (§6.4: decode only the rows, columns and coefficients the output
+// needs). Seeks each MCU row of the band through the row index and
+// entropy-decodes it up to column mc1 (raster early stop); inverse-transforms
+// and stores only the MCUs in [mc0, mc1), at N x N samples per block
+// (N = 8 / scale_denom); then converts the band to RGB and emits its crop.
+// N is a compile-time constant so every instance keeps constant block
+// sizes: N = 8 is the full-size loop, with no scaled arithmetic in it.
+template <int N>
+Status DecodeBand(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
+                  const Band& band, Image* out, SjpgDecodeStats* stats) {
+  const bool color = ps.header.channels == 3;
+  const int mcu = color ? 2 * N : N;  // MCU side in output pixels
+  Ycbcr420 planes;
+  planes.width = (band.mc1 - band.mc0) * mcu;
+  planes.height = (band.mr1 - band.mr0) * mcu;
+  const int cw = planes.width / 2;
+  const int ch = planes.height / 2;
+  planes.y.assign(static_cast<size_t>(planes.width) * planes.height, 0);
   if (color) {
-    planes.cw = planes.w / 2;
-    planes.ch = planes.h / 2;
-    planes.cb.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
-    planes.cr.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
+    planes.cb.assign(static_cast<size_t>(cw) * ch, 128);
+    planes.cr.assign(static_cast<size_t>(cw) * ch, 128);
   }
   const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
   const int blocks_per_mcu = color ? 6 : 1;
 
   const EntropyTables tables(ps);
   BitReader reader(bytes.data(), bytes.size());
-  int16_t scaled[64];
-  for (int mr = 0; mr < hdr.mcu_rows; ++mr) {
+  for (int mr = band.mr0; mr < band.mr1; ++mr) {
+    // Seek via the row index: rows outside the band cost nothing.
     SMOL_RETURN_IF_ERROR(
         reader.SeekToByte(ps.entropy_base + ps.row_offsets[mr]));
+    const int row = mr - band.mr0;
     int dc_pred[3] = {0, 0, 0};
-    for (int mc = 0; mc < hdr.mcu_cols; ++mc) {
+    for (int mc = 0; mc < band.mc1; ++mc) {
+      const int col = mc - band.mc0;  // negative left of the band
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
         DecodedBlock cb;
         SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
                                          &dc_pred[ref.component], &cb));
-        if (stats != nullptr) {
-          stats->entropy_blocks++;
-          stats->idct_blocks++;  // counted, but each costs ~n^2/64 of full
+        if (stats != nullptr) stats->entropy_blocks++;
+        if (col < 0) continue;  // skip the inverse transform left of the band
+        if (stats != nullptr) stats->idct_blocks++;
+        const QuantTable& qt = ref.component == 0 ? ps.luma_qt : ps.chroma_qt;
+        int16_t samples[N * N];
+        if constexpr (N == 8) {
+          ReconstructBlock(cb, qt, samples);
+        } else {
+          ReconstructBlockScaled(cb, qt, N, samples);
         }
         if (ref.component == 0) {
-          ReconstructBlockScaled(cb, ps.luma_qt, n, scaled);
-          StoreBlock(scaled, n, planes.y, planes.w, planes.h,
-                     mc * (color ? 2 * n : n) + ref.dx / denom,
-                     mr * (color ? 2 * n : n) + ref.dy / denom);
+          StoreBlock(samples, N, planes.y, planes.width, planes.height,
+                     col * mcu + ref.dx * N / 8, row * mcu + ref.dy * N / 8);
         } else {
-          ReconstructBlockScaled(cb, ps.chroma_qt, n, scaled);
-          auto& plane = ref.component == 1 ? planes.cb : planes.cr;
-          StoreBlock(scaled, n, plane, planes.cw, planes.ch, mc * n, mr * n);
+          StoreBlock(samples, N, ref.component == 1 ? planes.cb : planes.cr,
+                     cw, ch, col * N, row * N);
         }
       }
     }
     if (stats != nullptr) stats->mcu_rows_decoded++;
   }
 
-  // When the MCU grid already matches the output size, emit straight into
-  // *out — no full-grid intermediate, no crop copy.
-  const bool exact = planes.w == out_w && planes.h == out_h;
+  // Colour conversion of the band, then the crop. When the crop is the
+  // whole band (a full decode whose size is a multiple of the MCU, or an
+  // MCU-aligned ROI), convert straight into *out: no band image, no copy.
+  const bool exact = band.crop == Roi{0, 0, planes.width, planes.height};
+  Image band_image;
+  Image* dst = exact ? out : &band_image;
   if (color) {
-    Ycbcr420 ycc;
-    ycc.width = planes.w;
-    ycc.height = planes.h;
-    ycc.y = std::move(planes.y);
-    ycc.cb = std::move(planes.cb);
-    ycc.cr = std::move(planes.cr);
-    if (exact) {
-      Ycbcr420ToRgbInto(ycc, out);
-      return Status::OK();
-    }
-    Image full_grid;
-    Ycbcr420ToRgbInto(ycc, &full_grid);
-    return CropImageInto(full_grid, Roi{0, 0, out_w, out_h}, out);
+    Ycbcr420ToRgbInto(planes, dst);
+  } else {
+    dst->Reshape(planes.width, planes.height, 1);
+    std::memcpy(dst->data(), planes.y.data(), planes.y.size());
   }
-  if (exact) {
-    out->Reshape(planes.w, planes.h, 1);
-    std::memcpy(out->data(), planes.y.data(), planes.y.size());
-    return Status::OK();
-  }
-  Image full_grid(planes.w, planes.h, 1);
-  std::memcpy(full_grid.data(), planes.y.data(), planes.y.size());
-  return CropImageInto(full_grid, Roi{0, 0, out_w, out_h}, out);
+  if (exact) return Status::OK();
+  return CropImageInto(band_image, band.crop, out);
 }
 
 }  // namespace
@@ -364,123 +367,48 @@ Status SjpgDecodeInto(const std::vector<uint8_t>& bytes,
   if (out == nullptr) return Status::InvalidArgument("null output");
   SMOL_ASSIGN_OR_RETURN(ParsedStream ps, ParseStream(bytes));
   const SjpgHeader& hdr = ps.header;
-  const bool color = hdr.channels == 3;
-  const int mcu = hdr.mcu_size;
-
-  if (options.scale_denom != 1) {
-    if (options.scale_denom != 2 && options.scale_denom != 4 &&
-        options.scale_denom != 8) {
-      return Status::InvalidArgument("scale_denom must be 1, 2, 4 or 8");
-    }
-    if (!options.roi.empty() || options.max_rows > 0) {
-      return Status::InvalidArgument(
-          "scaled decoding cannot be combined with ROI/early stop");
-    }
-    return DecodeScaled(ps, bytes, options.scale_denom, out, stats);
+  const int denom = options.scale_denom;
+  if (denom != 1 && denom != 2 && denom != 4 && denom != 8) {
+    return Status::InvalidArgument("scale_denom must be 1, 2, 4 or 8");
   }
 
-  // Determine the band of MCU rows/cols to decode.
-  Roi roi = options.roi;
-  if (!roi.empty()) {
-    // The ROI comes from the request: compare without forming roi.x +
-    // roi.width, which can overflow int.
-    if (roi.x < 0 || roi.y < 0 || roi.width > hdr.width - roi.x ||
-        roi.height > hdr.height - roi.y) {
+  // The output rectangle, in output pixels: the ROI, or the whole image at
+  // 1/denom size (rounded up).
+  Roi rect = options.roi;
+  if (!rect.empty()) {
+    if (denom != 1) {
+      return Status::InvalidArgument(
+          "scaled decoding cannot be combined with an ROI");
+    }
+    // The ROI comes from the request: compare without forming rect.x +
+    // rect.width, which can overflow int.
+    if (rect.x < 0 || rect.y < 0 || rect.width > hdr.width - rect.x ||
+        rect.height > hdr.height - rect.y) {
       return Status::OutOfRange("ROI exceeds image bounds");
     }
-  } else if (options.max_rows > 0) {
-    roi = Roi{0, 0, hdr.width, std::min(options.max_rows, hdr.height)};
   } else {
-    roi = Roi{0, 0, hdr.width, hdr.height};
+    rect = Roi{0, 0, (hdr.width + denom - 1) / denom,
+               (hdr.height + denom - 1) / denom};
   }
-  const int mr0 = roi.y / mcu;
-  const int mr1 = (roi.y + roi.height + mcu - 1) / mcu;
-  const int mc0 = roi.x / mcu;
-  const int mc1 = (roi.x + roi.width + mcu - 1) / mcu;
-
-  // Decode into a band-sized plane set (full MCU coverage of the ROI).
-  const int band_w = (mc1 - mc0) * mcu;
-  const int band_h = (mr1 - mr0) * mcu;
-  PlaneSet planes;
-  planes.w = band_w;
-  planes.h = band_h;
-  planes.y.assign(static_cast<size_t>(band_w) * band_h, 0);
-  if (color) {
-    planes.cw = band_w / 2;
-    planes.ch = band_h / 2;
-    planes.cb.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
-    planes.cr.assign(static_cast<size_t>(planes.cw) * planes.ch, 128);
+  // Its MCU coverage, and the crop of that band the output keeps.
+  const int mcu = hdr.mcu_size / denom;  // MCU side in output pixels
+  Band band;
+  band.mr0 = rect.y / mcu;
+  band.mr1 = (rect.y + rect.height + mcu - 1) / mcu;
+  band.mc0 = rect.x / mcu;
+  band.mc1 = (rect.x + rect.width + mcu - 1) / mcu;
+  band.crop = Roi{rect.x - band.mc0 * mcu, rect.y - band.mr0 * mcu,
+                  rect.width, rect.height};
+  switch (denom) {
+    case 1:
+      return DecodeBand<8>(ps, bytes, band, out, stats);
+    case 2:
+      return DecodeBand<4>(ps, bytes, band, out, stats);
+    case 4:
+      return DecodeBand<2>(ps, bytes, band, out, stats);
+    default:  // 8: DC only
+      return DecodeBand<1>(ps, bytes, band, out, stats);
   }
-
-  const BlockRef* blocks = color ? kColorBlocks : kGrayBlocks;
-  const int blocks_per_mcu = color ? 6 : 1;
-
-  const EntropyTables tables(ps);
-  BitReader reader(bytes.data(), bytes.size());
-  for (int mr = mr0; mr < mr1; ++mr) {
-    // Seek via the row index: rows outside the band cost nothing.
-    SMOL_RETURN_IF_ERROR(
-        reader.SeekToByte(ps.entropy_base + ps.row_offsets[mr]));
-    int dc_pred[3] = {0, 0, 0};
-    for (int mc = 0; mc < hdr.mcu_cols; ++mc) {
-      if (mc >= mc1) break;  // raster early stop within the row
-      const bool in_roi = mc >= mc0;
-      for (int b = 0; b < blocks_per_mcu; ++b) {
-        const BlockRef& ref = blocks[b];
-        DecodedBlock cb;
-        SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
-                                         &dc_pred[ref.component], &cb));
-        if (stats != nullptr) stats->entropy_blocks++;
-        if (!in_roi) continue;  // skip the inverse transform outside the ROI
-        if (stats != nullptr) stats->idct_blocks++;
-        int16_t samples[64];
-        if (ref.component == 0) {
-          ReconstructBlock(cb, ps.luma_qt, samples);
-          StoreBlock(samples, 8, planes.y, planes.w, planes.h,
-                     (mc - mc0) * mcu + ref.dx, (mr - mr0) * mcu + ref.dy);
-        } else {
-          ReconstructBlock(cb, ps.chroma_qt, samples);
-          auto& plane = ref.component == 1 ? planes.cb : planes.cr;
-          StoreBlock(samples, 8, plane, planes.cw, planes.ch, (mc - mc0) * 8,
-                     (mr - mr0) * 8);
-        }
-      }
-    }
-    if (stats != nullptr) stats->mcu_rows_decoded++;
-  }
-
-  // Colorspace conversion for the decoded band, then exact crop to the ROI.
-  // When the ROI's MCU coverage is exact (aligned ROI or dimensions that are
-  // a multiple of the MCU size), the band IS the output: convert straight
-  // into *out instead of materializing the band and copying it (the seed's
-  // CropImage here was a full-image copy for every aligned decode).
-  const Roi band_roi{roi.x - mc0 * mcu, roi.y - mr0 * mcu, roi.width,
-                     roi.height};
-  const bool exact = band_roi.x == 0 && band_roi.y == 0 &&
-                     band_roi.width == band_w && band_roi.height == band_h;
-  if (color) {
-    Ycbcr420 ycc;
-    ycc.width = band_w;
-    ycc.height = band_h;
-    ycc.y = std::move(planes.y);
-    ycc.cb = std::move(planes.cb);
-    ycc.cr = std::move(planes.cr);
-    if (exact) {
-      Ycbcr420ToRgbInto(ycc, out);
-      return Status::OK();
-    }
-    Image band;
-    Ycbcr420ToRgbInto(ycc, &band);
-    return CropImageInto(band, band_roi, out);
-  }
-  if (exact) {
-    out->Reshape(band_w, band_h, 1);
-    std::memcpy(out->data(), planes.y.data(), planes.y.size());
-    return Status::OK();
-  }
-  Image band(band_w, band_h, 1);
-  std::memcpy(band.data(), planes.y.data(), planes.y.size());
-  return CropImageInto(band, band_roi, out);
 }
 
 }  // namespace smol

@@ -14,7 +14,8 @@
 // ROI decoding follows the paper exactly: rows outside the ROI band are
 // skipped via the index; within a row, entropy decoding proceeds left-to-
 // right and stops after the last ROI column (raster early stop); the inverse
-// DCT runs only for macroblocks intersecting the ROI.
+// DCT runs only for macroblocks intersecting the ROI. Full, ROI and
+// reduced-resolution decodes are one loop over such a band of MCUs.
 #ifndef SMOL_CODEC_SJPG_H_
 #define SMOL_CODEC_SJPG_H_
 
@@ -43,20 +44,20 @@ struct SjpgHeader {
   int mcu_cols = 0;
 };
 
-/// Decoder configuration.
+/// Decoder configuration: which region to decode, and at what scale. Both
+/// run the same band loop; an ROI at a scale_denom above 1 is rejected
+/// (InvalidArgument).
 struct SjpgDecodeOptions {
   /// Decode only this region (paper's ROI decoding). Empty => full image.
-  /// The returned image has exactly the ROI's dimensions.
+  /// The returned image has exactly the ROI's dimensions. Early stopping is
+  /// the ROI of the first rows: Roi{0, 0, width, rows}.
   Roi roi;
-  /// Decode only the first \p max_rows pixel rows (early stopping). 0 => all.
-  /// Ignored when an ROI is given. The returned image has height
-  /// min(max_rows, height) rounded up to MCU coverage then cropped.
-  int max_rows = 0;
   /// Multi-resolution (scaled) decoding: decode at 1/scale_denom resolution
   /// using only the top-left coefficients of each block (libjpeg's
   /// scale_num/scale_denom trick; §6.4's multi-resolution decoding).
-  /// Allowed values: 1 (full), 2, 4, 8 (DC-only). Cannot be combined with
-  /// an ROI or max_rows.
+  /// Allowed values: 1 (full), 2, 4, 8 (DC-only); the output is
+  /// ceil(width / scale_denom) x ceil(height / scale_denom). Requires an
+  /// empty ROI.
   int scale_denom = 1;
 };
 

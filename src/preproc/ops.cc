@@ -47,10 +47,6 @@ Result<Image> ResizeExact(const Image& src, int out_w, int out_h) {
   return ResizeBilinear(src, out_w, out_h);
 }
 
-Result<Image> ResizeU8(const Image& src, int out_w, int out_h) {
-  return ResizeExact(src, out_w, out_h);
-}
-
 Result<Image> CenterCrop(const Image& src, int crop_w, int crop_h) {
   if (src.empty()) return Status::InvalidArgument("empty image");
   if (crop_w > src.width() || crop_h > src.height()) {

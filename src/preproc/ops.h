@@ -81,11 +81,6 @@ Result<FloatImage> ChannelSplit(const FloatImage& src);
 /// Also accepts an already-CHW source, which degrades to a copy.
 Status ChannelSplitInto(const FloatImage& src, float* dst, size_t dst_size);
 
-/// Resize on u8 data then the rest of the pipeline runs on fewer pixels —
-/// this ordering is what rule "resizing is cheaper with smaller data types /
-/// fewer pixels" exploits. (Identical math to ResizeExact.)
-Result<Image> ResizeU8(const Image& src, int out_w, int out_h);
-
 /// Bilinear resize on float data (the expensive ordering the optimizer
 /// avoids; present so plans that normalize before resizing are executable).
 Result<FloatImage> ResizeF32(const FloatImage& src, int out_w, int out_h);

@@ -64,8 +64,6 @@ struct Server::WorkerScratch {
 
 const char* DispatchPolicyName(DispatchPolicy policy) {
   switch (policy) {
-    case DispatchPolicy::kRoundRobin:
-      return "round-robin";
     case DispatchPolicy::kLeastLoaded:
       return "least-loaded";
     case DispatchPolicy::kCapacityWeighted:
@@ -280,13 +278,10 @@ void Server::SubmitInternal(InferenceRequest inference_request,
 Server::Shard& Server::PickShard() {
   const size_t count = shards_.size();
   if (count == 1) return *shards_[0];
+  // Scan from a rotating offset (so ties — an idle fleet — degrade to
+  // round-robin instead of piling onto shard 0) and keep the strictly best
+  // score.
   const uint64_t cursor = rr_cursor_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.dispatch == DispatchPolicy::kRoundRobin) {
-    return *shards_[cursor % count];
-  }
-  // Least-loaded flavours: scan from a rotating offset (so ties — an idle
-  // fleet — degrade to round-robin instead of piling onto shard 0) and keep
-  // the strictly best score.
   const bool weighted = options_.dispatch == DispatchPolicy::kCapacityWeighted;
   Shard* best = nullptr;
   double best_score = std::numeric_limits<double>::infinity();

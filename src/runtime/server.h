@@ -22,12 +22,12 @@
 //                      batches grow with backlog and an idle device serves
 //                      a lone request immediately.
 //   Dispatch           A pluggable policy chooses the shard at stage time:
-//                      round-robin, least-loaded (outstanding bytes), or
-//                      capacity-weighted (outstanding work normalized by the
-//                      device's modelled capacity, for heterogeneous
-//                      fleets). Staging writes into the chosen shard's own
-//                      (pinned) BufferPool, so each device keeps a private
-//                      staging arena.
+//                      least-loaded (outstanding bytes) or capacity-weighted
+//                      (outstanding work normalized by the device's
+//                      modelled capacity, for heterogeneous fleets).
+//                      Staging writes into the chosen shard's own (pinned)
+//                      BufferPool, so each device keeps a private staging
+//                      arena.
 //   Backpressure       All queues are bounded. When admission is full,
 //                      Submit either blocks (kBlock, closed-loop callers) or
 //                      completes the request immediately with
@@ -87,7 +87,6 @@ enum class OverloadPolicy {
 
 /// How the staging workers choose a shard for each preprocessed sample.
 enum class DispatchPolicy {
-  kRoundRobin,        ///< rotate; exact balance for homogeneous fleets
   kLeastLoaded,       ///< fewest outstanding staged-but-unserved bytes
   kCapacityWeighted,  ///< least (outstanding bytes / device capacity):
                       ///< estimated drain time, for heterogeneous fleets

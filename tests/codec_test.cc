@@ -1,9 +1,9 @@
 // Unit, integration and property tests for src/codec: bitstream, Huffman
 // (with wire-format parity against the sort-based reference), DCT, color,
-// SJPG (roundtrip / ROI / early stop), SPNG (lossless roundtrip / early
-// stop), SV264 (roundtrip / random access / deblock toggle), formats,
-// block-decoder parity against the symbol-at-a-time reference, and the
-// truncation / bit-flip mutation sweep over every decoder.
+// SJPG (roundtrip / ROI / scaled / every-variant digest), SPNG (lossless
+// roundtrip / early stop), SV264 (roundtrip / random access / deblock
+// toggle), formats, block-decoder parity against the symbol-at-a-time
+// reference, and the truncation / bit-flip mutation sweep over every decoder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "src/codec/spng.h"
 #include "src/codec/sv264.h"
 #include "src/data/synth_image.h"
+#include "src/util/cpu_features.h"
 #include "tests/test_util.h"
 
 namespace smol {
@@ -750,9 +751,12 @@ TEST(SjpgTest, RoiDecodeMatchesFullDecodeCrop) {
   const Image img = MakeTestImage(160, 128, 3);
   ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img));
   ASSERT_OK_AND_ASSIGN(Image full, SjpgDecode(bytes));
+  // The first rows of the image, full width or not, are an ROI like any
+  // other: the decoder has no separate early-stop path.
   for (const Roi roi : {Roi{32, 32, 64, 64}, Roi{0, 0, 16, 16},
                         Roi{100, 50, 60, 78}, Roi{5, 7, 33, 41},
-                        Roi::CenterCrop(160, 128, 96, 96)}) {
+                        Roi::CenterCrop(160, 128, 96, 96), Roi{0, 0, 96, 40},
+                        Roi{0, 0, 160, 40}}) {
     SjpgDecodeOptions opts;
     opts.roi = roi;
     ASSERT_OK_AND_ASSIGN(Image partial, SjpgDecode(bytes, opts));
@@ -778,19 +782,6 @@ TEST(SjpgTest, RoiDecodeSkipsWork) {
   EXPECT_LT(roi_stats.idct_blocks * 3, full_stats.idct_blocks);
 }
 
-TEST(SjpgTest, EarlyStopMatchesPrefixOfFullDecode) {
-  const Image img = MakeTestImage(96, 96, 3);
-  ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img));
-  ASSERT_OK_AND_ASSIGN(Image full, SjpgDecode(bytes));
-  SjpgDecodeOptions opts;
-  opts.max_rows = 40;
-  ASSERT_OK_AND_ASSIGN(Image partial, SjpgDecode(bytes, opts));
-  EXPECT_EQ(partial.height(), 40);
-  EXPECT_EQ(partial.width(), 96);
-  ASSERT_OK_AND_ASSIGN(Image prefix, CropImage(full, Roi{0, 0, 96, 40}));
-  EXPECT_EQ(partial, prefix);
-}
-
 TEST(SjpgTest, RoiOutOfBoundsRejected) {
   const Image img = MakeTestImage(64, 64, 3);
   ASSERT_OK_AND_ASSIGN(auto bytes, SjpgEncode(img));
@@ -810,6 +801,91 @@ TEST(SjpgTest, RoiWhoseEndOverflowsRejected) {
   EXPECT_EQ(SjpgDecode(bytes, opts).status().code(), StatusCode::kOutOfRange);
   opts.roi = Roi{0, kFar, 16, 16};
   EXPECT_EQ(SjpgDecode(bytes, opts).status().code(), StatusCode::kOutOfRange);
+}
+
+// Pins every SJPG decode variant byte for byte: each decode's status,
+// dimensions, pixels and work counters fold into one FNV-1a digest, across
+// benchmark-style q85 inputs (two seeds; 128x128 and 97x61 colour, 61x97
+// gray), denominators 1/2/4/8 and four ROIs (full, unaligned centre, the
+// first half of the rows, the bottom-right pixel). ROI with a denominator
+// above 1 is rejected, and the digest pins that too. The inputs are encoded
+// under a scalar cap (the AVX2 forward DCT fuses multiply-adds), so the
+// streams are the same on every host; then every SIMD level the host has
+// must give the same digest. The constant was recorded from the decoder as
+// it stood before its full, ROI and scaled paths shared one band loop: a
+// change that moves any byte or counter of any variant fails here.
+TEST(SjpgTest, EveryDecodeVariantMatchesParentDigest) {
+  struct Input {
+    int w, h, channels;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<Input> inputs;
+  {
+    ScopedSimdLevelCap cap(SimdLevel::kScalar);
+    for (const uint64_t seed : {uint64_t{7}, uint64_t{902}}) {
+      for (Input in : {Input{128, 128, 3, {}}, Input{97, 61, 3, {}},
+                       Input{61, 97, 1, {}}}) {
+        SynthImageOptions gen;
+        gen.width = in.w;
+        gen.height = in.h;
+        gen.num_classes = 4;
+        gen.seed = seed;
+        const Image rgb = SynthImageGenerator(gen).Generate(1, seed);
+        Image img(in.w, in.h, in.channels);
+        for (size_t i = 0; i < img.size_bytes(); ++i) {
+          img.data()[i] = rgb.data()[in.channels == 3 ? i : 3 * i + 1];
+        }
+        ASSERT_OK_AND_ASSIGN(in.bytes, SjpgEncode(img, {.quality = 85}));
+        inputs.push_back(std::move(in));
+      }
+    }
+  }
+  constexpr uint64_t kExpected = 0x6d80a57fdfbcd266ULL;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSSE4, SimdLevel::kAVX2}) {
+    ScopedSimdLevelCap cap(level);
+    if (ActiveSimdLevel() != level) continue;  // the host lacks this level
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    auto fold_bytes = [&digest](const uint8_t* p, size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        digest = (digest ^ p[i]) * 0x100000001b3ULL;
+      }
+    };
+    auto fold = [&fold_bytes](int64_t v) {
+      uint8_t le[8];
+      for (int i = 0; i < 8; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
+      fold_bytes(le, sizeof(le));
+    };
+    Image out;  // reused across decodes, as a serving worker reuses its image
+    for (const Input& in : inputs) {
+      const Roi rois[] = {
+          Roi{},
+          Roi{in.w / 4 + 3, in.h / 4 + 5, in.w / 2, in.h / 3},
+          Roi{0, 0, in.w, in.h / 2},
+          Roi{in.w - 1, in.h - 1, 1, 1},
+      };
+      for (const int denom : {1, 2, 4, 8}) {
+        for (const Roi& roi : rois) {
+          SjpgDecodeOptions opts;
+          opts.scale_denom = denom;
+          opts.roi = roi;
+          SjpgDecodeStats stats;
+          const Status status = SjpgDecodeInto(in.bytes, opts, &out, &stats);
+          fold(static_cast<int>(status.code()));
+          fold(stats.entropy_blocks);
+          fold(stats.idct_blocks);
+          fold(stats.mcu_rows_decoded);
+          if (!status.ok()) continue;
+          fold(out.width());
+          fold(out.height());
+          fold(out.channels());
+          fold_bytes(out.data(), out.size_bytes());
+        }
+      }
+    }
+    EXPECT_EQ(digest, kExpected)
+        << SimdLevelName(level) << " digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(SjpgTest, CorruptStreamsRejectedNotCrashing) {
@@ -1366,8 +1442,8 @@ std::string CompareSjpgRows(const std::vector<uint8_t>& bytes,
 }
 
 // Runs every whole-stream decoder on \p bytes, whatever its format: SJPG at
-// each denominator, with an ROI and with early stop; SPNG; SV264 in order
-// and by random access. They must return (any status); a crash or sanitizer
+// each denominator and with an ROI; SPNG; SV264 in order and by random
+// access. They must return (any status); a crash or sanitizer
 // report fails the suite.
 void RunWholeDecoders(const std::vector<uint8_t>& bytes) {
   auto sjpg_header = SjpgPeekHeader(bytes);
@@ -1382,9 +1458,6 @@ void RunWholeDecoders(const std::vector<uint8_t>& bytes) {
     roi.roi = Roi{h.width / 4, h.height / 3, std::max(1, h.width / 2),
                   std::max(1, h.height / 2)};
     (void)SjpgDecode(bytes, roi);
-    SjpgDecodeOptions early;
-    early.max_rows = std::max(1, h.height / 2);
-    (void)SjpgDecode(bytes, early);
   }
   (void)SpngPeekHeader(bytes);
   (void)SpngDecode(bytes);

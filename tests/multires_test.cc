@@ -138,9 +138,6 @@ TEST(ScaledDecodeTest, InvalidCombinationsRejected) {
   opts.scale_denom = 2;
   opts.roi = Roi{0, 0, 16, 16};
   EXPECT_FALSE(SjpgDecode(bytes, opts).ok());
-  opts.roi = Roi{};
-  opts.max_rows = 8;
-  EXPECT_FALSE(SjpgDecode(bytes, opts).ok());
 }
 
 TEST(ScaledDecodeTest, ScaledDecodeIsFasterThanFull) {

@@ -45,7 +45,7 @@ TEST(OpsTest, ResizeHandlesDegenerateAndOddSizes) {
     ASSERT_OK_AND_ASSIGN(Image up, ResizeExact(img, 15, 11));
     EXPECT_EQ(up.width(), 15);
     EXPECT_EQ(up.height(), 11);
-    ASSERT_OK_AND_ASSIGN(Image one, ResizeU8(img, 1, 1));
+    ASSERT_OK_AND_ASSIGN(Image one, ResizeExact(img, 1, 1));
     EXPECT_EQ(one.width(), 1);
     // The 1x1 result is a blend of in-bounds pixels only, so it is a valid
     // u8 value by construction; just make sure the op produced data.

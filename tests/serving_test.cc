@@ -549,37 +549,6 @@ TEST_F(ServingTest, SingleDeviceFleetIsDegenerateCase) {
   EXPECT_EQ(stats.shards[0].outstanding_bytes, 0u);
 }
 
-// Round-robin over a homogeneous fleet is exact: the dispatch cursor is a
-// single global atomic, so N requests over M shards land N/M on each.
-TEST_F(ServingTest, RoundRobinDispatchBalancesExactly) {
-  ServerOptions opts;
-  opts.max_batch = 8;
-  opts.pipeline.num_producers = 2;
-  opts.dispatch = DispatchPolicy::kRoundRobin;
-  SimAccelerator::Options accel_opts;
-  accel_opts.dnn_throughput_ims = 1e5;
-  opts.devices = MakeHomogeneousFleet(4, accel_opts);
-  Server server(opts, spec_, DecodeSjpg, nullptr);
-  EXPECT_EQ(server.num_shards(), 4);
-  std::vector<std::future<InferenceReply>> replies;
-  for (int i = 0; i < 64; ++i) replies.push_back(server.Submit(Item(i)));
-  for (auto& r : replies) {
-    const InferenceReply reply = r.get();
-    ASSERT_TRUE(reply.ok());
-    EXPECT_GE(reply.shard, 0);
-    EXPECT_LT(reply.shard, 4);
-  }
-  server.Shutdown();
-  const ServerStats stats = server.stats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  uint64_t total = 0;
-  for (const ShardStats& shard : stats.shards) {
-    EXPECT_EQ(shard.served, 16u) << "shard " << shard.shard;
-    total += shard.served;
-  }
-  EXPECT_EQ(total, stats.completed);
-}
-
 // Scheduling property (uniform load): least-loaded over a homogeneous fleet
 // must stay balanced — bounded max/min served ratio, no starved shard, and
 // every per-shard queue depth within its configured bound. The global
