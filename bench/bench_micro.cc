@@ -275,11 +275,10 @@ BENCHMARK(BM_SimDeviceBatch)->UseRealTime();
 
 // The serving path's cache traffic without the serving path: a seeded
 // zipf(1.0) trace over 2,048 keys through the default 8 shards at 32 MiB,
-// with the serving benchmark's entries (196,608-byte pooled buffers, so 168
-// fit). Each request is a Get and, on a miss, a Put, as Server::Stage runs
-// them. Reports time per request after one warm-up pass over the trace, and
-// the hit ratio over the timed requests.
-void BM_TensorCacheZipf(benchmark::State& state) {
+// each entry charged \p charge bytes. Each request is a Get and, on a miss,
+// a Put, as Server::Stage runs them. Reports time per request after one
+// warm-up pass over the trace, and the hit ratio over the timed requests.
+void TensorCacheZipf(benchmark::State& state, size_t charge) {
   constexpr int kKeys = 2048;
   constexpr size_t kTrace = size_t{1} << 16;
   std::vector<double> cdf(kKeys);
@@ -297,26 +296,24 @@ void BM_TensorCacheZipf(benchmark::State& state) {
     key.content_hash = TensorCache::HashCombine(0, rank);
     key.plan_fingerprint = 7;
   }
-  // Entries share one buffer: the cache charges its capacity per entry and
-  // never touches the bytes.
-  auto buffer = std::make_shared<PooledBuffer>();
-  buffer->data.reserve(196608);
-  CachedTensor value;
-  value.buffer = std::move(buffer);
+  // Entries share one image: the cache charges what the producer declares
+  // and never touches the bytes.
+  CachedImage value;
+  value.image = std::make_shared<Image>(85, 85, 3);
   value.float_count = 85 * 85 * 3;
   TensorCache::Options options;
   options.capacity_bytes = 32ull << 20;
   TensorCache cache(options);
   const auto request = [&](const TensorCache::Key& key) {
-    std::optional<CachedTensor> hit = cache.Get(key);
-    if (!hit.has_value()) cache.Put(key, value);
+    std::optional<CachedImage> hit = cache.Get(key);
+    if (!hit.has_value()) cache.Put(key, value, charge);
     return hit;
   };
   for (const TensorCache::Key& key : trace) request(key);
   const TensorCacheStats warm = cache.stats();
   size_t i = 0;
   for (auto _ : state) {
-    std::optional<CachedTensor> hit = request(trace[i]);
+    std::optional<CachedImage> hit = request(trace[i]);
     benchmark::DoNotOptimize(hit);
     i = (i + 1) % kTrace;
   }
@@ -328,7 +325,20 @@ void BM_TensorCacheZipf(benchmark::State& state) {
                     : 0.0;
   state.SetItemsProcessed(state.iterations());
 }
+
+// Entries charged as pooled rung-0 f32 tensors (85x85x3 in a 128 KiB bucket
+// x 1.5 = 196,608 B), so 168 fit.
+void BM_TensorCacheZipf(benchmark::State& state) {
+  TensorCacheZipf(state, 196608);
+}
 BENCHMARK(BM_TensorCacheZipf);
+
+// Entries charged as the server charges the rung-0 u8 prefix it caches
+// (85x85x3 = 21,675 B in a 32 KiB bucket x 1.5 = 49,152 B), so 680 fit.
+void BM_TensorCacheZipfU8(benchmark::State& state) {
+  TensorCacheZipf(state, 49152);
+}
+BENCHMARK(BM_TensorCacheZipfU8);
 
 }  // namespace
 }  // namespace smol

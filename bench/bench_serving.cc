@@ -447,8 +447,8 @@ int main(int argc, char** argv) {
   //
   // Overload the server (1.8x capacity, shed policy) with zipf(1.0) repeats
   // over 64 unique images. Cache off: served throughput pins at capacity.
-  // Cache on: hits skip decode+preprocess entirely, so served throughput
-  // climbs toward the offered rate.
+  // Cache on: hits skip decode and the plan's u8 steps and run only its
+  // fused tail, so served throughput climbs toward the offered rate.
   const int kUniqueImages = 64;
   const double kZipfLoad = 1.8;
   const SysoptWorkload zipf_workload =
@@ -506,7 +506,7 @@ int main(int argc, char** argv) {
   // The zipf(1.0) stream re-serves most requests from the cache; anything
   // less means the content-addressed path is broken, not merely slow.
   if (zipf_hit_rate < 0.5) ok = false;
-  // Hits skip decode+preprocess, so under 1.8x overload the cache must buy
+  // Hits skip decode, so under 1.8x overload the cache must buy
   // real served throughput (threshold well under the ~1.8x ideal to absorb
   // shared-runner noise).
   if (uplift < 1.15) ok = false;

@@ -350,24 +350,47 @@ Result<size_t> PlanOutputFloats(const PreprocPlan& plan,
          static_cast<size_t>(channels);
 }
 
-Result<size_t> ExecutePlanInto(const PreprocPlan& plan,
-                               const PipelineSpec& spec, const Image& decoded,
-                               PreprocScratch& scratch, float* dst,
-                               size_t dst_floats) {
-  if (dst == nullptr) return Status::InvalidArgument("null destination");
-  // State: a *borrowed* u8 image — initially the caller's decoded frame, so
-  // unlike ExecutePlan there is no entry copy — or a float image living in
-  // one of the ping-pong scratch slots. The write target of each step always
-  // differs from the borrowed source (decoded -> slot A -> slot B -> A ...),
-  // so in-place hazards cannot arise.
-  const Image* u8 = &decoded;
+namespace {
+
+// Where ExecutePlanInto splits \p plan: the first step that writes floats,
+// or the crop feeding a terminal fused tail, so that the crop and the tail
+// still run as one windowed pass. Every step before it reads and writes u8.
+size_t SuffixStart(const PreprocPlan& plan) {
+  const size_t n = plan.steps.size();
+  for (size_t si = 0; si < n; ++si) {
+    const OpKind kind = plan.steps[si].kind;
+    if (kind == OpKind::kCrop && si + 2 == n &&
+        plan.steps[si + 1].kind == OpKind::kFusedTail) {
+      return si;
+    }
+    if (kind != OpKind::kDecode && kind != OpKind::kResize &&
+        kind != OpKind::kCrop) {
+      return si;
+    }
+  }
+  return n;
+}
+
+// The step loop behind ExecutePlanPrefix and ExecutePlanSuffix: runs
+// plan.steps[begin, end) starting on the *borrowed* u8 image \p u8, so
+// unlike ExecutePlan there is no entry copy. Until the first float step the
+// state stays a borrowed u8 image, then it is a float image in one of the
+// ping-pong scratch slots. The write target of each step always differs
+// from its source (u8 -> slot A -> slot B -> A ...), so in-place hazards
+// cannot arise. A walk that stops on u8 (the prefix) leaves its output in
+// \p u8 and returns 0; one that reaches the plan's float output writes it
+// into \p dst and returns its float count.
+Result<size_t> RunSteps(const PreprocPlan& plan, const PipelineSpec& spec,
+                        size_t begin, size_t end, const Image*& u8,
+                        PreprocScratch& scratch, float* dst,
+                        size_t dst_floats) {
   Image* u8_slots[2] = {&scratch.u8_a, &scratch.u8_b};
   int u8_next = 0;
   FloatImage* f32 = nullptr;
   FloatImage* f32_slots[2] = {&scratch.f32_a, &scratch.f32_b};
   int f32_next = 0;
   bool in_float = false;
-  for (size_t si = 0; si < plan.steps.size(); ++si) {
+  for (size_t si = begin; si < end; ++si) {
     const PlanStep& step = plan.steps[si];
     const bool is_last = si + 1 == plan.steps.size();
     switch (step.kind) {
@@ -513,7 +536,10 @@ Result<size_t> ExecutePlanInto(const PreprocPlan& plan,
       }
     }
   }
-  if (!in_float) return Status::Internal("plan produced no float output");
+  if (!in_float) {
+    if (end < plan.steps.size()) return size_t{0};  // the u8 prefix
+    return Status::Internal("plan produced no float output");
+  }
   // Plan ended on a non-materializing float op (not produced by the
   // enumerator, but legal): copy the final tensor out.
   const size_t count = f32->data.size();
@@ -522,6 +548,38 @@ Result<size_t> ExecutePlanInto(const PreprocPlan& plan,
   }
   std::copy(f32->data.begin(), f32->data.end(), dst);
   return count;
+}
+
+}  // namespace
+
+Result<const Image*> ExecutePlanPrefix(const PreprocPlan& plan,
+                                       const PipelineSpec& spec,
+                                       const Image& decoded,
+                                       PreprocScratch& scratch) {
+  const Image* u8 = &decoded;
+  SMOL_RETURN_IF_ERROR(
+      RunSteps(plan, spec, 0, SuffixStart(plan), u8, scratch, nullptr, 0)
+          .status());
+  return u8;
+}
+
+Result<size_t> ExecutePlanSuffix(const PreprocPlan& plan,
+                                 const PipelineSpec& spec, const Image& prefix,
+                                 PreprocScratch& scratch, float* dst,
+                                 size_t dst_floats) {
+  if (dst == nullptr) return Status::InvalidArgument("null destination");
+  const Image* u8 = &prefix;
+  return RunSteps(plan, spec, SuffixStart(plan), plan.steps.size(), u8,
+                  scratch, dst, dst_floats);
+}
+
+Result<size_t> ExecutePlanInto(const PreprocPlan& plan,
+                               const PipelineSpec& spec, const Image& decoded,
+                               PreprocScratch& scratch, float* dst,
+                               size_t dst_floats) {
+  SMOL_ASSIGN_OR_RETURN(const Image* prefix,
+                        ExecutePlanPrefix(plan, spec, decoded, scratch));
+  return ExecutePlanSuffix(plan, spec, *prefix, scratch, dst, dst_floats);
 }
 
 }  // namespace smol

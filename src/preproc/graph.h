@@ -112,10 +112,33 @@ Result<size_t> PlanOutputFloats(const PreprocPlan& plan,
 /// u8 center-crop followed by the fused tail is additionally collapsed into
 /// one crop-windowed tail pass (the cropped image is never materialized).
 /// Numerically identical to ExecutePlan. Returns the float count written.
+///
+/// It is ExecutePlanPrefix followed by ExecutePlanSuffix. The split falls
+/// where the plan leaves u8: at its first step that writes floats, or at the
+/// crop that feeds a terminal fused tail, which stays one windowed pass.
 Result<size_t> ExecutePlanInto(const PreprocPlan& plan,
                                const PipelineSpec& spec, const Image& decoded,
                                PreprocScratch& scratch, float* dst,
                                size_t dst_floats);
+
+/// The u8 prefix of ExecutePlanInto: the steps that read and write u8
+/// (decode, crop, resize) before the plan's float suffix. Returns their
+/// output: \p decoded itself when every prefix step is a no-op, otherwise a
+/// u8 slot of \p scratch, valid until \p scratch is used again.
+Result<const Image*> ExecutePlanPrefix(const PreprocPlan& plan,
+                                       const PipelineSpec& spec,
+                                       const Image& decoded,
+                                       PreprocScratch& scratch);
+
+/// The float suffix of ExecutePlanInto: runs the rest of \p plan on
+/// \p prefix, an ExecutePlanPrefix output or a copy of one, and writes the
+/// f32 CHW tensor into \p dst. It writes only the float slots of \p scratch,
+/// so \p prefix may live in a u8 slot of the same scratch. Returns the float
+/// count written.
+Result<size_t> ExecutePlanSuffix(const PreprocPlan& plan,
+                                 const PipelineSpec& spec, const Image& prefix,
+                                 PreprocScratch& scratch, float* dst,
+                                 size_t dst_floats);
 
 }  // namespace smol
 

@@ -66,7 +66,7 @@ struct PlanRung {
 /// and be strictly decreasing in (0, 1]). Each rung scales the base spec's
 /// resize/crop geometry, picks the deepest multi-resolution decode
 /// denominator the geometry permits, compiles the plan, and fingerprints it
-/// so cached tensors never cross rungs. Rungs that collapse to identical
+/// so cache entries never cross rungs. Rungs that collapse to identical
 /// geometry are dropped, so the result may be shorter than \p scales.
 Result<std::vector<PlanRung>> BuildPlanLadder(const PipelineSpec& base_spec,
                                               const std::vector<double>& scales,

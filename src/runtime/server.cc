@@ -24,18 +24,6 @@ void StoreMax(std::atomic<T>& target, T value) {
   }
 }
 
-/// Wraps a pool-owned buffer in a shared_ptr whose deleter returns it to
-/// \p pool. \p pool must outlive every reference (the server declares the
-/// shards that own the pools before the cache and the queues for exactly
-/// this reason).
-std::shared_ptr<const PooledBuffer> SharePooled(
-    std::unique_ptr<PooledBuffer> buffer, BufferPool* pool) {
-  return std::shared_ptr<const PooledBuffer>(
-      buffer.release(), [pool](const PooledBuffer* b) {
-        pool->Put(std::unique_ptr<PooledBuffer>(const_cast<PooledBuffer*>(b)));
-      });
-}
-
 /// Content hash of one work item (encoded bytes + ROI + decode scale): the
 /// content half of the tensor cache key.
 uint64_t WorkItemContentHash(const WorkItem& item) {
@@ -360,14 +348,28 @@ void Server::WorkerLoop() {
 Status Server::Stage(const WorkItem& item, const PlanRung& rung,
                      BufferPool& pool, WorkerScratch& scratch,
                      Staged& staged) {
+  // Every request stages into its own buffer from the chosen shard's pool,
+  // and the plan's terminal op writes the tensor straight into it.
+  const auto stage_into = [&](size_t floats) {
+    staged.buffer = {pool.Get(floats * sizeof(float)).release(),
+                     PoolReturn{&pool}};
+    return reinterpret_cast<float*>(staged.buffer->data.data());
+  };
   TensorCache::Key key;
   if (cache_ != nullptr) {
     key.content_hash = WorkItemContentHash(item);
     key.plan_fingerprint = rung.fingerprint;
     if (auto cached = cache_->Get(key)) {
-      // Repeated content: stage the cached tensor's bytes directly — no
-      // decode, no preprocessing, no copy.
-      staged.buffer = std::move(cached->buffer);
+      // Repeated content: no decode and no u8 steps; only the plan's float
+      // suffix runs, from the cached image.
+      const size_t floats = cached->float_count;
+      SMOL_ASSIGN_OR_RETURN(
+          const size_t written,
+          ExecutePlanSuffix(rung.plan, rung.spec, *cached->image,
+                            scratch.preproc, stage_into(floats), floats));
+      if (written != floats) {
+        return Status::Internal("plan output size mismatch");
+      }
       staged.cache_hit = true;
       return Status::OK();
     }
@@ -379,28 +381,39 @@ Status Server::Stage(const WorkItem& item, const PlanRung& rung,
   SMOL_RETURN_IF_ERROR(decoded);
 
   sw.Restart();
-  // Size the staging buffer from the plan's output geometry, then let the
-  // plan's terminal op write the tensor straight into it (zero-copy).
+  // Size the staging buffer from the plan's output geometry.
   SMOL_ASSIGN_OR_RETURN(
       const size_t floats,
       PlanOutputFloats(rung.plan, rung.spec, scratch.decoded.width(),
                        scratch.decoded.height(), scratch.decoded.channels()));
-  std::unique_ptr<PooledBuffer> buffer = pool.Get(floats * sizeof(float));
-  SMOL_ASSIGN_OR_RETURN(
-      const size_t written,
-      ExecutePlanInto(rung.plan, rung.spec, scratch.decoded, scratch.preproc,
-                      reinterpret_cast<float*>(buffer->data.data()), floats));
+  float* dst = stage_into(floats);
+  CachedImage value;
+  size_t written = 0;
+  if (cache_ == nullptr) {
+    SMOL_ASSIGN_OR_RETURN(
+        written, ExecutePlanInto(rung.plan, rung.spec, scratch.decoded,
+                                 scratch.preproc, dst, floats));
+  } else {
+    // A miss keeps an exact-size copy of the plan's u8 prefix for the cache,
+    // then runs the suffix from it.
+    SMOL_ASSIGN_OR_RETURN(const Image* prefix,
+                          ExecutePlanPrefix(rung.plan, rung.spec,
+                                            scratch.decoded, scratch.preproc));
+    value.image = std::make_shared<const Image>(*prefix);
+    value.float_count = floats;
+    SMOL_ASSIGN_OR_RETURN(
+        written, ExecutePlanSuffix(rung.plan, rung.spec, *value.image,
+                                   scratch.preproc, dst, floats));
+  }
   preproc_us_.fetch_add(static_cast<uint64_t>(sw.ElapsedMicros()));
   if (written != floats) {
     return Status::Internal("plan output size mismatch");
   }
-
-  staged.buffer = SharePooled(std::move(buffer), &pool);
   if (cache_ != nullptr) {
-    CachedTensor value;
-    value.buffer = staged.buffer;  // second reference; bytes are shared
-    value.float_count = floats;
-    cache_->Put(key, std::move(value));
+    // Charged what a staging buffer of the image's size reserves, as
+    // CacheOptions::tensor_cache_bytes describes.
+    const size_t charge = pool.ReserveBytes(value.image->size_bytes());
+    cache_->Put(key, std::move(value), charge);
   }
   return Status::OK();
 }
@@ -450,8 +463,8 @@ void Server::FlushBatch(Shard& shard, std::vector<Staged>& batch) {
   // gathered by the DMA engine, not copied into a contiguous staging area.
   shard.device->ExecuteBatch(batch_size, batch_bytes, pinned,
                              /*chunks=*/batch_size);
-  // Dropping the references recycles each buffer to its pool — unless the
-  // tensor cache still holds it — before any reply can trigger new work.
+  // Dropping each buffer recycles it to this shard's pool before any reply
+  // can trigger new work.
   for (Staged& staged : batch) staged.buffer.reset();
   // The batch is through the device: it no longer counts as shard load.
   shard.outstanding_bytes.fetch_sub(batch_bytes, std::memory_order_relaxed);

@@ -107,14 +107,16 @@ struct PipelineOptions {
 };
 
 /// \brief Content-addressed tensor-cache configuration
-/// (util/tensor_cache.h): repeated content skips decode + preprocessing and
-/// stages the cached bytes with no copy. Off by default — it only pays for
-/// workloads with repeated content, and it trades memory for compute.
+/// (util/tensor_cache.h): repeated content skips decode and the plan's u8
+/// steps, and runs only the plan's float suffix from the cached u8 image.
+/// Off by default — it only pays for workloads with repeated content, and
+/// it trades memory for compute.
 struct CacheOptions {
   bool enable_tensor_cache = false;         ///< master switch
-  /// Cache byte budget. Each entry is charged at its pooled buffer's
-  /// capacity (power-of-two bucket x 1.5 over-allocation) plus 128 B, not
-  /// at its tensor bytes: 32 MiB holds 168 rung-0 tensors of 86,700 B.
+  /// Cache byte budget. Each u8 entry is charged what a staging-pool buffer
+  /// of its size reserves (power-of-two bucket x 1.5 over-allocation) plus
+  /// 128 B, not its exact bytes: 32 MiB holds 680 rung-0 entries of
+  /// 21,675 B (85x85x3), each charged 49,280 B.
   size_t tensor_cache_bytes = 64ull << 20;
 };
 
@@ -132,8 +134,8 @@ struct AdaptiveOptions {
 struct ServerOptions {
   /// Pipeline toggles and worker counts.
   PipelineOptions pipeline;
-  /// Tensor-cache configuration. Cached tensors are keyed per ladder rung,
-  /// so the cache composes with adaptive serving.
+  /// Tensor-cache configuration. Entries are keyed per ladder rung, so the
+  /// cache composes with adaptive serving.
   CacheOptions cache;
   /// Load-adaptive plan selection; default = static single-plan serving.
   AdaptiveOptions adaptive;
@@ -243,6 +245,10 @@ struct ServerStats {
   double active_seconds = 0.0;
   double throughput_ims = 0.0;  ///< completed / active_seconds
   double decode_seconds = 0.0;  ///< summed across workers
+  /// Summed across workers, over the requests that were decoded: the whole
+  /// plan, or on a cache miss its prefix, the cached copy and its suffix. A
+  /// cache hit's suffix is not counted, so this divided by the decode count
+  /// stays the preprocessing cost of one decoded image.
   double preprocess_seconds = 0.0;
   LatencyHistogram::Snapshot latency;  ///< merged across shards
   BufferPoolStats buffer_stats;        ///< summed across shard pools
@@ -326,10 +332,11 @@ class Server {
   };
   /// A preprocessed request waiting in a shard queue for its batch.
   struct Staged {
-    /// The f32 CHW tensor in a pooled (possibly pinned) buffer, shared with
-    /// the tensor cache when enabled; the last reference recycles it.
-    std::shared_ptr<const PooledBuffer> buffer;
-    bool cache_hit = false;  ///< staged from the tensor cache
+    /// The f32 CHW tensor, owned by this request alone, in a (possibly
+    /// pinned) buffer from the pool of the shard it was dispatched to;
+    /// dropping it recycles the buffer there.
+    std::unique_ptr<PooledBuffer, PoolReturn> buffer;
+    bool cache_hit = false;  ///< staged from a cached u8 image
     int label = 0;
     RequestContext ctx;
     RequestClass klass = RequestClass::kBestAccuracy;
@@ -381,9 +388,10 @@ class Server {
   void Fail(RequestContext& ctx, int label, RequestClass klass, Status status);
   Shard& PickShard();
   void WorkerLoop();
-  /// Decodes and preprocesses \p item at \p rung straight into a buffer
-  /// from \p pool, or stages the cached tensor for repeated content; sets
-  /// staged.buffer and staged.cache_hit.
+  /// Preprocesses \p item at \p rung straight into a buffer from \p pool:
+  /// from its cached u8 image when the cache has it (only the plan's float
+  /// suffix runs), otherwise after a decode. Sets staged.buffer and
+  /// staged.cache_hit.
   Status Stage(const WorkItem& item, const PlanRung& rung, BufferPool& pool,
                WorkerScratch& scratch, Staged& staged);
   void BatcherLoop(Shard& shard);
@@ -396,9 +404,6 @@ class Server {
   std::vector<PlanRung> ladder_;
   std::unique_ptr<PlanController> controller_;  // null = static serving
 
-  // Declaration order is load-bearing: cache_ holds references to shard
-  // pools' buffers (recycled on release), so the cache must be destroyed
-  // before the shards that own the pools.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<TensorCache> cache_;  // null unless enable_tensor_cache
   MpmcQueue<Request> admission_;

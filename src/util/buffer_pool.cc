@@ -21,17 +21,21 @@ size_t BufferPool::Bucket(size_t size) {
   return bucket;
 }
 
+size_t BufferPool::ReserveBytes(size_t size) const {
+  if (!options_.enable_reuse) return size;
+  const size_t bucket = Bucket(size);
+  const double scaled =
+      static_cast<double>(bucket) * options_.overallocation_factor;
+  const size_t reserve =
+      scaled >= static_cast<double>(std::numeric_limits<size_t>::max())
+          ? bucket
+          : static_cast<size_t>(scaled);
+  return reserve < size ? size : reserve;
+}
+
 std::unique_ptr<PooledBuffer> BufferPool::Get(size_t size) {
   const size_t bucket = Bucket(size);
-  size_t reserve = size;
-  if (options_.enable_reuse) {
-    const double scaled =
-        static_cast<double>(bucket) * options_.overallocation_factor;
-    reserve = scaled >= static_cast<double>(std::numeric_limits<size_t>::max())
-                  ? bucket
-                  : static_cast<size_t>(scaled);
-    if (reserve < size) reserve = size;
-  }
+  const size_t reserve = ReserveBytes(size);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (options_.enable_reuse) {

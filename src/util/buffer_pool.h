@@ -74,6 +74,10 @@ class BufferPool {
   /// bucket instead of looping forever).
   static size_t Bucket(size_t size);
 
+  /// Bytes a fresh Get(\p size) reserves: its bucket times the
+  /// over-allocation factor with reuse on, \p size itself with reuse off.
+  size_t ReserveBytes(size_t size) const;
+
   BufferPoolStats stats() const;
   const Options& options() const { return options_; }
 
@@ -82,6 +86,15 @@ class BufferPool {
   mutable std::mutex mutex_;
   std::unordered_map<size_t, std::vector<std::unique_ptr<PooledBuffer>>> free_;
   BufferPoolStats stats_;
+};
+
+/// \brief A std::unique_ptr deleter that returns the buffer to \p pool,
+/// which must outlive it.
+struct PoolReturn {
+  BufferPool* pool = nullptr;
+  void operator()(PooledBuffer* buffer) const {
+    pool->Put(std::unique_ptr<PooledBuffer>(buffer));
+  }
 };
 
 }  // namespace smol

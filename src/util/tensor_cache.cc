@@ -104,16 +104,7 @@ TensorCache::Shard& TensorCache::ShardFor(uint64_t key_hash) {
   return *shards_[static_cast<size_t>(key_hash % shards_.size())];
 }
 
-size_t TensorCache::EntryBytes(const CachedTensor& value) {
-  // Charge the buffer's actual capacity plus a fixed bookkeeping overhead so
-  // many tiny tensors cannot blow past the budget through metadata alone.
-  constexpr size_t kEntryOverhead = 128;
-  const size_t payload =
-      value.buffer != nullptr ? value.buffer->data.capacity() : 0;
-  return payload + kEntryOverhead;
-}
-
-std::optional<CachedTensor> TensorCache::Get(const Key& key) {
+std::optional<CachedImage> TensorCache::Get(const Key& key) {
   const uint64_t key_hash = KeyHashOf(key);
   Shard& shard = ShardFor(key_hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -143,8 +134,8 @@ void TensorCache::EvictToFit(Shard& shard) {
   }
 }
 
-void TensorCache::Put(const Key& key, CachedTensor value) {
-  const size_t bytes = EntryBytes(value);
+void TensorCache::Put(const Key& key, CachedImage value, size_t charge) {
+  const size_t bytes = charge + kEntryOverhead;
   const uint64_t key_hash = KeyHashOf(key);
   Shard& shard = ShardFor(key_hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -163,7 +154,7 @@ void TensorCache::Put(const Key& key, CachedTensor value) {
     return;
   }
   // Admission: a key looked up less often than the LRU victim would only
-  // displace a more popular tensor, so it is not cached.
+  // displace a more popular entry, so it is not cached.
   if (shard.bytes + bytes > shard_budget_ && !shard.lru.empty() &&
       shard.sketch.Estimate(key_hash) <
           shard.sketch.Estimate(KeyHashOf(shard.lru.back().key))) {

@@ -1,22 +1,39 @@
-// Content-addressed cache of decoded/preprocessed tensors.
+// Content-addressed cache of preprocessing-plan prefixes.
 //
 // The realistic millions-of-users access pattern is heavily repeated content:
 // hot images, shared video segments, thumbnails fetched by many requests. On
 // the §6.1 memory path, the preprocessed representation of one input is a
 // pure function of (encoded bytes, preprocessing plan) — so repeated-content
-// traffic can skip decode + preprocessing entirely by addressing tensors with
+// traffic can skip decode by addressing what the plan made of it with
 //
 //   key = content hash (encoded bytes + ROI)  x  plan fingerprint
 //
-// following Anderson et al.'s physical-representation optimization: cache the
-// materialized representation, keyed by content and the plan that produced
-// it, and let the serving path pick it up instead of recomputing.
+// following Anderson et al.'s physical-representation optimization: keep
+// the cheapest materialized representation that still skips the costly
+// step, keyed by content and the plan that produced it. Here the costly
+// step is decode, so a value is not the f32 tensor but the u8 image the
+// plan's float suffix reads: the output of ExecutePlanPrefix (decode, then
+// crop and resize; preproc/graph.h). At the serving benchmark's rung 0 that
+// is an 85x85x3 image of 21,675 B, against an f32 tensor of 86,700 B. A hit
+// runs the plan's suffix (the fused convert-normalize-split) from the cached
+// image into a fresh staging buffer, instead of staging the same cached
+// bytes for every hit: it skips decode and the u8 steps for one tail pass.
 //
-// Values are shared, immutable references to pooled staging buffers
-// (`std::shared_ptr<const PooledBuffer>`): a cache hit stages the SAME bytes
-// the producer wrote — no copy out of the cache — and the buffer returns to
-// its BufferPool only when both the cache entry and every in-flight batch
-// reference are gone (the deleter recycles it).
+// Values are shared, immutable images in exact-size allocations owned by
+// the cache (`std::shared_ptr<const Image>`): a hit reads the bytes in place,
+// and an entry's memory is freed when the cache and every reader that still
+// holds it have dropped it.
+//
+// Charging: the producer declares each entry's charge, as LevelDB's
+// Cache::Insert(key, value, charge, deleter) does, and the cache adds 128 B
+// of bookkeeping per entry; it never reads the value to size it. The server
+// charges what a staging-pool buffer of the image's size reserves
+// (BufferPool::ReserveBytes: power-of-two bucket x 1.5), which keeps the
+// budget's resident memory near what pooled f32 tensors would touch: a
+// rung-0 image of 21,675 B is charged 49,152 + 128 B, and 32 MiB holds 680
+// of them (~14.7 MB touched), where 168 rung-0 tensors in 196,608-B pooled
+// buffers would touch ~14.6 MB. Charging the exact bytes would fit ~1,539
+// entries and make nearly the whole budget resident.
 //
 // Concurrency: the cache is sharded by key hash; each shard is an LRU list +
 // index behind its own mutex, with a per-shard byte budget (capacity_bytes /
@@ -45,14 +62,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/util/buffer_pool.h"
-
 namespace smol {
 
-/// \brief One cached preprocessed tensor (f32 CHW bytes in a pooled buffer).
-struct CachedTensor {
-  std::shared_ptr<const PooledBuffer> buffer;
-  size_t float_count = 0;
+class Image;
+
+/// \brief One cached plan prefix: the u8 image a plan's float suffix reads.
+struct CachedImage {
+  std::shared_ptr<const Image> image;
+  size_t float_count = 0;  ///< floats the plan's suffix writes from it
 };
 
 /// \brief Cumulative cache statistics.
@@ -94,16 +111,17 @@ class TensorCache {
   explicit TensorCache(Options options);
 
   /// Looks \p key up, bumping its recency and its frequency estimate (hit or
-  /// miss). Returns a shared reference to the cached tensor (no copy) or
+  /// miss). Returns a shared reference to the cached image (no copy) or
   /// nullopt. Counted as hit/miss.
-  std::optional<CachedTensor> Get(const Key& key);
+  std::optional<CachedImage> Get(const Key& key);
 
-  /// Inserts \p value under \p key, evicting LRU entries of the shard until
-  /// its byte budget holds. An insert that must evict is admitted only when
-  /// \p key's frequency estimate is at least the LRU victim's. Replaces an
-  /// existing entry for the same key, evicting other entries if the new
-  /// value is larger. Oversized values (> shard budget) are rejected.
-  void Put(const Key& key, CachedTensor value);
+  /// Inserts \p value under \p key at \p charge bytes plus 128 B of
+  /// bookkeeping, evicting LRU entries of the shard until its byte budget
+  /// holds. An insert that must evict is admitted only when \p key's
+  /// frequency estimate is at least the LRU victim's. Replaces an existing
+  /// entry for the same key, evicting other entries if the new charge is
+  /// larger. Oversized entries (> shard budget) are rejected.
+  void Put(const Key& key, CachedImage value, size_t charge);
 
   /// Aggregated statistics across shards.
   TensorCacheStats stats() const;
@@ -120,17 +138,21 @@ class TensorCache {
 
  private:
   // Counters per sketch row. On a zipf(1.0) replay over 2,048 keys at
-  // 32 MiB (8 shards, 168 entries), every width from 256 to 4,096 reads the
-  // same hit ratio (0.6845, mean of seeds 1-6); 128 reads 0.682 and 64 reads
-  // 0.670, as collisions lift tail keys to the estimates of head keys. 512
-  // keeps 2x headroom over that knee at 1 KiB per shard.
+  // 32 MiB (8 shards; means of seeds 1-6), every width from 512 to 4,096
+  // reads the same hit ratio at both serving entry charges: 0.6845 at 168
+  // entries and 0.8522-0.8525 at 680. Narrower rows lose hits as collisions
+  // lift tail keys to the estimates of head keys: 128 reads 0.682 and 0.845,
+  // 64 reads 0.670 and 0.832. 512 sits at the plateau for 680 entries (256
+  // reads 0.851) at 1 KiB per shard.
   static constexpr size_t kSketchWidth = 512;
   // The sketch halves its counters every kSketchSampleFactor x (resident
-  // entries) lookups of its shard. On the same replay, 8 reads 0.643, 16
-  // 0.670, 32 0.6845, 64 0.6850, 128 0.673 and 256 0.658: short periods
-  // forget the head between halvings, long ones let the 4-bit counters of
-  // the head and of the boundary keys saturate to the same value. 32 reads
-  // the plateau and adapts twice as fast as 64.
+  // entries) lookups of its shard. On the same replay, at 168 and at 680
+  // entries: 8 reads 0.643 and 0.832, 16 0.670 and 0.845, 32 0.6845 and
+  // 0.852, 64 0.6850 and 0.854, 128 0.673 and 0.853, 256 0.658 and 0.852.
+  // Short periods forget the head between halvings; long ones let the 4-bit
+  // counters of the head and of the boundary keys saturate to the same
+  // value. 32 is within 0.002 of the best at both sizes and adapts twice as
+  // fast as 64.
   static constexpr uint64_t kSketchSampleFactor = 32;
 
   // Count-min sketch of recent lookup frequency: 4 rows of kSketchWidth
@@ -150,7 +172,7 @@ class TensorCache {
 
   struct Entry {
     Key key;
-    CachedTensor value;
+    CachedImage value;
     size_t bytes = 0;
   };
   struct KeyHash {
@@ -168,6 +190,10 @@ class TensorCache {
     TensorCacheStats stats;       // per-shard; aggregated by stats()
   };
 
+  // Bookkeeping charged on top of each declared charge, so many tiny
+  // entries cannot blow past the budget through metadata alone.
+  static constexpr size_t kEntryOverhead = 128;
+
   static uint64_t KeyHashOf(const Key& key) {
     return HashCombine(key.content_hash, key.plan_fingerprint);
   }
@@ -175,7 +201,6 @@ class TensorCache {
   // Evicts LRU entries until the shard fits its budget. The entry just put
   // is at the front and fits alone, so it is never the one evicted.
   void EvictToFit(Shard& shard);
-  static size_t EntryBytes(const CachedTensor& value);
 
   Options options_;
   size_t shard_budget_ = 0;

@@ -17,6 +17,7 @@
 namespace smol {
 namespace {
 
+using smol::testing::ExecutePlanSplit;
 using smol::testing::MakeTestImage;
 
 // --- Operators ------------------------------------------------------------------
@@ -270,7 +271,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GraphEquivalenceTest,
 // it must write bit-identical output to ExecutePlan, and PlanOutputFloats
 // must predict the exact element count (the runtime sizes pooled staging
 // buffers from it before executing). Scratch is reused across plans on
-// purpose — stale intermediate shapes must not leak between runs.
+// purpose — stale intermediate shapes must not leak between runs. The split
+// path the tensor cache takes (prefix, cached copy, suffix) must write the
+// same bytes.
 TEST(GraphTest, ExecutePlanIntoMatchesExecutePlanExactly) {
   const auto spec = TestSpec();
   PreprocScratch scratch;
@@ -292,17 +295,27 @@ TEST(GraphTest, ExecutePlanIntoMatchesExecutePlanExactly) {
       ASSERT_EQ(0, std::memcmp(dst.data(), ref.data.data(),
                                predicted * sizeof(float)))
           << plan.ToString();
+      ASSERT_OK_AND_ASSIGN(std::vector<float> split,
+                           ExecutePlanSplit(plan, spec, img, scratch,
+                                            predicted));
+      ASSERT_EQ(0, std::memcmp(split.data(), ref.data.data(),
+                               predicted * sizeof(float)))
+          << plan.ToString();
     }
   }
 }
 
 // Non-square inputs exercise the short-side scaling and the crop-fused tail's
-// row-strided path (ROI narrower than the resized image).
+// row-strided path (ROI narrower than the resized image). At 72x96 the
+// resize to a short side of 72 is a no-op, so a resize-first plan whose
+// prefix ends there hands back the decoded image itself.
 TEST(GraphTest, ExecutePlanIntoMatchesOnNonSquareInputs) {
   PreprocScratch scratch;
-  for (auto dims : {std::pair<int, int>{128, 96}, {96, 128}, {131, 97}}) {
+  for (auto dims :
+       {std::pair<int, int>{128, 96}, {96, 128}, {131, 97}, {72, 96}}) {
     const auto spec = TestSpec(dims.first, dims.second);
     const Image img = MakeTestImage(dims.first, dims.second, 3, 9);
+    int borrowed_past_resize = 0;
     for (const auto& plan : PreprocOptimizer::EnumeratePlans(spec)) {
       ASSERT_OK_AND_ASSIGN(FloatImage ref, ExecutePlan(plan, spec, img));
       std::vector<float> dst(ref.data.size());
@@ -313,7 +326,20 @@ TEST(GraphTest, ExecutePlanIntoMatchesOnNonSquareInputs) {
       ASSERT_EQ(0, std::memcmp(dst.data(), ref.data.data(),
                                written * sizeof(float)))
           << plan.ToString();
+      ASSERT_OK_AND_ASSIGN(const Image* prefix,
+                           ExecutePlanPrefix(plan, spec, img, scratch));
+      if (plan.steps[1].kind == OpKind::kResize && prefix == &img) {
+        ++borrowed_past_resize;
+      }
+      ASSERT_OK_AND_ASSIGN(std::vector<float> split,
+                           ExecutePlanSplit(plan, spec, img, scratch,
+                                            written));
+      ASSERT_EQ(0, std::memcmp(split.data(), ref.data.data(),
+                               written * sizeof(float)))
+          << plan.ToString();
     }
+    EXPECT_EQ(borrowed_past_resize > 0, dims.first == 72)
+        << dims.first << "x" << dims.second;
   }
 }
 

@@ -33,6 +33,7 @@
 namespace smol {
 namespace {
 
+using smol::testing::ExecutePlanSplit;
 using smol::testing::MakeTestImage;
 
 // Forwards to another device. It counts the batches it has started, so a
@@ -476,7 +477,11 @@ TEST_F(ServingTest, RepeatedContentHitsCacheAndSkipsDecode) {
 
 // The cache is an optimization, not a semantic change: the same workload with
 // the cache on and off yields the same replies (labels, success) and stages
-// the same total bytes to the accelerator.
+// the same total bytes to the accelerator. Device sees byte counts, not
+// bytes, so this compares only labels and byte totals; the split-path parity
+// tests (GraphTest.ExecutePlanIntoMatchesExecutePlanExactly,
+// PlanLadderTest.EveryRungExecuteIntoMatchesExecutePlanExactly) show that a
+// hit writes the same bytes as a miss.
 TEST_F(ServingTest, CacheOnAndOffProduceIdenticalResults) {
   constexpr int kRequests = 24;
   constexpr int kUniqueImages = 6;
@@ -508,8 +513,8 @@ TEST_F(ServingTest, CacheOnAndOffProduceIdenticalResults) {
     EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
     EXPECT_EQ(stats.failed, 0u);
     if (cache_on) {
-      // A hit stages the identical shared tensor, so hits don't change the
-      // bytes the accelerator consumes.
+      // A hit writes the same tensor from the cached prefix, so hits don't
+      // change the bytes the accelerator consumes.
       EXPECT_EQ(stats.tensor_cache.hits + stats.tensor_cache.misses,
                 static_cast<uint64_t>(kRequests));
       EXPECT_GT(stats.tensor_cache.hits, 0u);
@@ -519,6 +524,36 @@ TEST_F(ServingTest, CacheOnAndOffProduceIdenticalResults) {
   std::sort(labels[1].begin(), labels[1].end());
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(staged_bytes[0], staged_bytes[1]);
+}
+
+// Each staged request owns a buffer from the pool of the shard it was
+// dispatched to, hit or miss: every shard's pool hands out exactly one
+// buffer per request that shard served.
+TEST_F(ServingTest, EveryStagedRequestTakesABufferFromItsShardsPool) {
+  ServerOptions opts;
+  opts.max_batch = 4;
+  opts.cache.enable_tensor_cache = true;
+  SimAccelerator::Options accel_opts;
+  accel_opts.dnn_throughput_ims = 1e5;
+  opts.devices = MakeHomogeneousFleet(2, accel_opts);
+  Server server(opts, spec_, DecodeSjpg, nullptr);
+  constexpr int kRequests = 48;
+  std::vector<std::future<InferenceReply>> replies;
+  for (int i = 0; i < kRequests; ++i) {
+    InferenceRequest item = Item(i % 6);  // heavy content repetition
+    item.label = i;
+    replies.push_back(server.Submit(item));
+  }
+  for (auto& r : replies) ASSERT_TRUE(r.get().ok());
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
+  EXPECT_GT(stats.tensor_cache.hits, 0u);
+  for (const ShardStats& shard : stats.shards) {
+    EXPECT_EQ(shard.buffer_stats.allocations + shard.buffer_stats.reuses,
+              shard.served)
+        << "shard " << shard.shard;
+  }
 }
 
 // --- Multi-device sharding -----------------------------------------------------------
@@ -892,7 +927,8 @@ TEST(PlanLadderTest, CollapsedRungsAreDropped) {
 
 // Every rung's compiled plan must keep the zero-copy executor parity the
 // serving path relies on: decode at the rung's multi-resolution denominator,
-// then ExecutePlanInto writes bit-identical output to ExecutePlan.
+// then ExecutePlanInto writes bit-identical output to ExecutePlan, and so
+// does the tensor cache's split path (prefix, cached copy, suffix).
 TEST(PlanLadderTest, EveryRungExecuteIntoMatchesExecutePlanExactly) {
   PipelineSpec base;
   base.input_width = 96;
@@ -923,6 +959,11 @@ TEST(PlanLadderTest, EveryRungExecuteIntoMatchesExecutePlanExactly) {
                                          scratch, dst.data(), dst.size()));
     ASSERT_EQ(written, ref.data.size());
     EXPECT_EQ(0, std::memcmp(dst.data(), ref.data.data(),
+                             written * sizeof(float)));
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<float> split,
+        ExecutePlanSplit(rung.plan, rung.spec, decoded, scratch, written));
+    EXPECT_EQ(0, std::memcmp(split.data(), ref.data.data(),
                              written * sizeof(float)));
   }
 }

@@ -1,6 +1,6 @@
-// Tests for src/util/tensor_cache.h: the content-addressed cache of
-// preprocessed tensors (hit/miss accounting, LRU eviction under a byte
-// budget, frequency-aware admission, shared-buffer recycling, and concurrent
+// Tests for src/util/tensor_cache.h: the content-addressed cache of plan
+// prefixes (hit/miss accounting, LRU eviction under a byte budget,
+// frequency-aware admission, release of evicted images, and concurrent
 // access).
 #include "src/util/tensor_cache.h"
 
@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/codec/image.h"
 #include "src/util/buffer_pool.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -28,12 +29,14 @@ TensorCache::Key MakeKey(uint64_t content, uint64_t plan = 7) {
   return key;
 }
 
-// A cached value backed by a plain (non-pooled) buffer of `floats` floats.
-CachedTensor MakeTensor(size_t floats, uint8_t fill = 0) {
-  auto buffer = std::make_shared<PooledBuffer>();
-  buffer->data.assign(floats * sizeof(float), fill);
-  CachedTensor value;
-  value.buffer = std::move(buffer);
+// A cached value whose suffix writes `floats` floats, held in an image of
+// floats x 4 bytes. The tests put it at that charge, the f32 tensor's bytes.
+CachedImage MakeTensor(size_t floats, uint8_t fill = 0) {
+  auto image =
+      std::make_shared<Image>(static_cast<int>(floats * sizeof(float)), 1, 1);
+  std::memset(image->data(), fill, image->size_bytes());
+  CachedImage value;
+  value.image = std::move(image);
   value.float_count = floats;
   return value;
 }
@@ -42,11 +45,11 @@ TEST(TensorCacheTest, MissThenHit) {
   TensorCache cache(TensorCache::Options{});
   const auto key = MakeKey(1);
   EXPECT_FALSE(cache.Get(key).has_value());
-  cache.Put(key, MakeTensor(16, 0xAB));
+  cache.Put(key, MakeTensor(16, 0xAB), 64);
   auto hit = cache.Get(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->float_count, 16u);
-  EXPECT_EQ(hit->buffer->data[0], 0xAB);
+  EXPECT_EQ(hit->image->data()[0], 0xAB);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -57,7 +60,7 @@ TEST(TensorCacheTest, MissThenHit) {
 
 TEST(TensorCacheTest, KeyIsContentTimesPlan) {
   TensorCache cache(TensorCache::Options{});
-  cache.Put(MakeKey(1, /*plan=*/7), MakeTensor(8));
+  cache.Put(MakeKey(1, /*plan=*/7), MakeTensor(8), 32);
   // Same content under a different plan fingerprint is a different tensor.
   EXPECT_FALSE(cache.Get(MakeKey(1, /*plan=*/8)).has_value());
   // Different content under the same plan likewise.
@@ -68,20 +71,20 @@ TEST(TensorCacheTest, KeyIsContentTimesPlan) {
 TEST(TensorCacheTest, HitReturnsSharedBufferNotACopy) {
   TensorCache cache(TensorCache::Options{});
   auto value = MakeTensor(32, 0x5A);
-  const uint8_t* bytes = value.buffer->data.data();
-  cache.Put(MakeKey(3), std::move(value));
+  const uint8_t* bytes = value.image->data();
+  cache.Put(MakeKey(3), std::move(value), 128);
   auto hit = cache.Get(MakeKey(3));
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->buffer->data.data(), bytes);  // same allocation, zero copy
+  EXPECT_EQ(hit->image->data(), bytes);  // same allocation, zero copy
 }
 
 TEST(TensorCacheTest, ReplacingSameKeyKeepsOneEntry) {
   TensorCache cache(TensorCache::Options{});
-  cache.Put(MakeKey(4), MakeTensor(16, 1));
-  cache.Put(MakeKey(4), MakeTensor(16, 2));
+  cache.Put(MakeKey(4), MakeTensor(16, 1), 64);
+  cache.Put(MakeKey(4), MakeTensor(16, 2), 64);
   auto hit = cache.Get(MakeKey(4));
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->buffer->data[0], 2);  // newest value wins
+  EXPECT_EQ(hit->image->data()[0], 2);  // newest value wins
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
@@ -93,10 +96,12 @@ TEST(TensorCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   options.capacity_bytes = 5000;
   TensorCache cache(options);
   const size_t floats = 256;  // 1 KiB each
-  for (uint64_t i = 0; i < 4; ++i) cache.Put(MakeKey(i), MakeTensor(floats));
+  for (uint64_t i = 0; i < 4; ++i) {
+    cache.Put(MakeKey(i), MakeTensor(floats), floats * sizeof(float));
+  }
   // Touch key 0 so key 1 is now the LRU entry.
   ASSERT_TRUE(cache.Get(MakeKey(0)).has_value());
-  cache.Put(MakeKey(99), MakeTensor(floats));
+  cache.Put(MakeKey(99), MakeTensor(floats), floats * sizeof(float));
   EXPECT_TRUE(cache.Get(MakeKey(0)).has_value());   // recently used: kept
   EXPECT_FALSE(cache.Get(MakeKey(1)).has_value());  // LRU: evicted
   EXPECT_TRUE(cache.Get(MakeKey(99)).has_value());
@@ -112,8 +117,8 @@ TEST(TensorCacheTest, ReplacingWithLargerValueRespectsBudget) {
   options.shards = 1;
   options.capacity_bytes = 5000;
   TensorCache cache(options);
-  for (uint64_t i = 0; i < 4; ++i) cache.Put(MakeKey(i), MakeTensor(256));
-  cache.Put(MakeKey(0), MakeTensor(768, 0x3C));
+  for (uint64_t i = 0; i < 4; ++i) cache.Put(MakeKey(i), MakeTensor(256), 1024);
+  cache.Put(MakeKey(0), MakeTensor(768, 0x3C), 3072);
   auto stats = cache.stats();
   EXPECT_LE(stats.bytes_cached, 5000u);
   EXPECT_EQ(stats.bytes_cached, 3200u + 1152u);
@@ -122,7 +127,7 @@ TEST(TensorCacheTest, ReplacingWithLargerValueRespectsBudget) {
   auto replaced = cache.Get(MakeKey(0));
   ASSERT_TRUE(replaced.has_value());
   EXPECT_EQ(replaced->float_count, 768u);
-  EXPECT_EQ(replaced->buffer->data[0], 0x3C);
+  EXPECT_EQ(replaced->image->data()[0], 0x3C);
   EXPECT_FALSE(cache.Get(MakeKey(1)).has_value());  // LRU: evicted
   EXPECT_FALSE(cache.Get(MakeKey(2)).has_value());  // next LRU: evicted
   EXPECT_TRUE(cache.Get(MakeKey(3)).has_value());
@@ -133,7 +138,7 @@ TEST(TensorCacheTest, OversizedValuesAreRejectedNotCached) {
   options.shards = 1;
   options.capacity_bytes = 1024;
   TensorCache cache(options);
-  cache.Put(MakeKey(5), MakeTensor(4096));  // 16 KiB > budget
+  cache.Put(MakeKey(5), MakeTensor(4096), 16384);  // 16 KiB > budget
   EXPECT_FALSE(cache.Get(MakeKey(5)).has_value());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.rejected, 1u);
@@ -147,7 +152,7 @@ TEST(TensorCacheTest, CapacityEnforcedAcrossManyInsertions) {
   options.capacity_bytes = 64 * 1024;
   TensorCache cache(options);
   for (uint64_t i = 0; i < 512; ++i) {
-    cache.Put(MakeKey(i), MakeTensor(512));  // 2 KiB each, 1 MiB total
+    cache.Put(MakeKey(i), MakeTensor(512), 2048);  // 2 KiB each, 1 MiB total
   }
   const auto stats = cache.stats();
   EXPECT_LE(stats.bytes_cached, 64u * 1024u);
@@ -155,29 +160,29 @@ TEST(TensorCacheTest, CapacityEnforcedAcrossManyInsertions) {
   EXPECT_GT(stats.entries, 0u);
 }
 
-TEST(TensorCacheTest, PooledBuffersRecycleWhenCacheEvicts) {
-  // Values wrapped over a BufferPool (as the serving path stages them) must
-  // flow back to the pool when the cache drops its reference.
-  BufferPool pool;
+TEST(TensorCacheTest, EntriesAreReleasedWhenCacheEvicts) {
+  // Each image must be freed once the cache drops it, on eviction or when
+  // the cache itself goes. Charged as the server charges a 2 KiB image:
+  // what a pooled staging buffer of that size reserves.
+  const size_t charge = BufferPool().ReserveBytes(2048);
+  int released = 0;
   TensorCache::Options options;
   options.shards = 1;
   options.capacity_bytes = 8 * 1024;
   auto cache = std::make_unique<TensorCache>(options);
   for (uint64_t i = 0; i < 8; ++i) {
-    auto buffer = pool.Get(2048);
-    std::shared_ptr<const PooledBuffer> shared(
-        buffer.release(), [&pool](const PooledBuffer* b) {
-          pool.Put(std::unique_ptr<PooledBuffer>(
-              const_cast<PooledBuffer*>(b)));
+    CachedImage value;
+    value.image = std::shared_ptr<const Image>(
+        new Image(2048, 1, 1), [&released](const Image* image) {
+          ++released;
+          delete image;
         });
-    CachedTensor value;
-    value.buffer = std::move(shared);
     value.float_count = 512;
-    cache->Put(MakeKey(i), std::move(value));
+    cache->Put(MakeKey(i), std::move(value), charge);
   }
-  EXPECT_GT(pool.stats().returns, 0u);  // evicted entries recycled
+  EXPECT_GT(released, 0);  // evicted entries released
   cache.reset();
-  EXPECT_EQ(pool.stats().returns, 8u);  // the rest on cache destruction
+  EXPECT_EQ(released, 8);  // the rest on cache destruction
 }
 
 // A hot set warmed by repeated lookups survives a scan of one-off keys four
@@ -195,13 +200,13 @@ TEST(TensorCacheTest, OneOffScanDoesNotFlushHotKeys) {
   for (int round = 0; round < 8; ++round) {
     for (uint64_t k = 0; k < kHot; ++k) {
       if (!cache.Get(MakeKey(k)).has_value()) {
-        cache.Put(MakeKey(k), MakeTensor(256));
+        cache.Put(MakeKey(k), MakeTensor(256), 1024);
       }
     }
   }
   for (uint64_t k = 1000; k < 1000 + kScan; ++k) {
     ASSERT_FALSE(cache.Get(MakeKey(k)).has_value());
-    cache.Put(MakeKey(k), MakeTensor(256));
+    cache.Put(MakeKey(k), MakeTensor(256), 1024);
   }
   for (uint64_t k = 0; k < kHot; ++k) {
     EXPECT_TRUE(cache.Get(MakeKey(k)).has_value()) << "hot key " << k;
@@ -211,12 +216,14 @@ TEST(TensorCacheTest, OneOffScanDoesNotFlushHotKeys) {
   EXPECT_LE(stats.bytes_cached, options.capacity_bytes);
 }
 
-// Zipf(1.0) over 2,048 keys through the default 8 shards at 32 MiB, with
-// the serving benchmark's entry size: an 85x85x3 f32 tensor in a pooled
-// 128 KiB bucket over-allocated 1.5x, so 196,608 bytes of capacity and 168
-// entries in the budget. The 168 most popular keys would hit 0.695 of the
-// time; plain LRU reads 0.582-0.585 on these seeds, because one-off tail
-// keys evict the head.
+// Zipf(1.0) over 2,048 keys through the default 8 shards at 32 MiB, at the
+// serving benchmark's two entry charges. A rung-0 f32 tensor (85x85x3,
+// 86,700 B) charged at its pooled 128 KiB bucket x 1.5 costs 196,608 B and
+// 168 fit; the u8 image the plan's suffix reads (21,675 B), charged at its
+// 32 KiB bucket x 1.5, costs 49,152 B and 680 fit. The most popular 168 keys
+// would hit 0.695 of the time and the top 680 0.866; plain LRU reads
+// 0.582-0.585 at 168 entries on these seeds, because one-off tail keys
+// evict the head.
 TEST(TensorCacheTest, ZipfTraceKeepsTheHead) {
   constexpr int kKeys = 2048;
   constexpr int kWarmup = 20000;
@@ -227,35 +234,43 @@ TEST(TensorCacheTest, ZipfTraceKeepsTheHead) {
     total += 1.0 / static_cast<double>(k + 1);
     cdf[static_cast<size_t>(k)] = total;
   }
-  // Every entry shares one buffer: the cache charges its capacity per entry
-  // and never reads the bytes, so the replay needs no 33 MB of tensors.
-  auto buffer = std::make_shared<PooledBuffer>();
-  buffer->data.reserve(196608);
-  CachedTensor value;
-  value.buffer = buffer;
+  // Every entry shares one image: the cache charges what the producer
+  // declares and never reads the bytes, so the replay needs no 33 MB of
+  // data.
+  CachedImage value;
+  value.image = std::make_shared<Image>(85, 85, 3);
   value.float_count = 85 * 85 * 3;
-  for (uint64_t seed : {1, 2, 3}) {
-    TensorCache::Options options;
-    options.capacity_bytes = 32ull << 20;
-    TensorCache cache(options);
-    Rng rng(seed);
-    uint64_t hits = 0;
-    for (int i = 0; i < kWarmup + kMeasured; ++i) {
-      const double u = rng.UniformDouble() * total;
-      const auto rank = static_cast<uint64_t>(
-          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-      const auto key = MakeKey(std::min<uint64_t>(rank, kKeys - 1));
-      if (cache.Get(key).has_value()) {
-        if (i >= kWarmup) ++hits;
-      } else {
-        cache.Put(key, value);
+  struct Case {
+    size_t charge;
+    uint64_t entries;
+    double min_hit_ratio;
+  };
+  for (const Case& c : {Case{196608, 168, 0.65}, Case{49152, 680, 0.83}}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      TensorCache::Options options;
+      options.capacity_bytes = 32ull << 20;
+      TensorCache cache(options);
+      Rng rng(seed);
+      uint64_t hits = 0;
+      for (int i = 0; i < kWarmup + kMeasured; ++i) {
+        const double u = rng.UniformDouble() * total;
+        const auto rank = static_cast<uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        const auto key = MakeKey(std::min<uint64_t>(rank, kKeys - 1));
+        if (cache.Get(key).has_value()) {
+          if (i >= kWarmup) ++hits;
+        } else {
+          cache.Put(key, value, c.charge);
+        }
       }
+      const auto stats = cache.stats();
+      EXPECT_EQ(stats.entries, c.entries)
+          << "charge " << c.charge << " seed " << seed;
+      const double hit_ratio =
+          static_cast<double>(hits) / static_cast<double>(kMeasured);
+      EXPECT_GE(hit_ratio, c.min_hit_ratio)
+          << "charge " << c.charge << " seed " << seed;
     }
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.entries, 168u) << "seed " << seed;
-    const double hit_ratio =
-        static_cast<double>(hits) / static_cast<double>(kMeasured);
-    EXPECT_GE(hit_ratio, 0.65) << "seed " << seed;
   }
 }
 
@@ -291,9 +306,9 @@ TEST(TensorCacheTest, ConcurrentGetPutFromThreads) {
         if (auto hit = cache.Get(MakeKey(k))) {
           // A hit's payload must match its key (no cross-key aliasing).
           observed_hits.fetch_add(1);
-          ASSERT_EQ(hit->buffer->data[0], static_cast<uint8_t>(k));
+          ASSERT_EQ(hit->image->data()[0], static_cast<uint8_t>(k));
         } else {
-          cache.Put(MakeKey(k), MakeTensor(64, static_cast<uint8_t>(k)));
+          cache.Put(MakeKey(k), MakeTensor(64, static_cast<uint8_t>(k)), 256);
         }
       }
     });

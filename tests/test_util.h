@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/codec/image.h"
+#include "src/preproc/graph.h"
 #include "src/util/macros.h"
 #include "src/util/rng.h"
 
@@ -78,6 +80,36 @@ inline Image MakeNoiseImage(int w, int h, int channels, uint64_t seed = 7) {
     img.data()[i] = static_cast<uint8_t>(rng.Uniform(256));
   }
   return img;
+}
+
+/// ExecutePlanInto split as the serving tensor cache splits it: the plan's
+/// u8 prefix, a copy of its output into a fresh Image (the cached entry),
+/// then another image through \p scratch so that the scratch no longer
+/// holds this one's state, then the float suffix from the copy. Returns the
+/// suffix's \p floats outputs.
+inline Result<std::vector<float>> ExecutePlanSplit(const PreprocPlan& plan,
+                                                   const PipelineSpec& spec,
+                                                   const Image& decoded,
+                                                   PreprocScratch& scratch,
+                                                   size_t floats) {
+  SMOL_ASSIGN_OR_RETURN(const Image* prefix,
+                        ExecutePlanPrefix(plan, spec, decoded, scratch));
+  const Image cached = *prefix;
+  const Image other = MakeTestImage(decoded.width() + 2, decoded.height() + 2,
+                                    decoded.channels(), 977);
+  SMOL_ASSIGN_OR_RETURN(const size_t other_floats,
+                        PlanOutputFloats(plan, spec, other.width(),
+                                         other.height(), other.channels()));
+  std::vector<float> other_out(other_floats);
+  SMOL_RETURN_IF_ERROR(ExecutePlanInto(plan, spec, other, scratch,
+                                       other_out.data(), other_floats)
+                           .status());
+  std::vector<float> out(floats, -1.0e30f);
+  SMOL_ASSIGN_OR_RETURN(const size_t written,
+                        ExecutePlanSuffix(plan, spec, cached, scratch,
+                                          out.data(), out.size()));
+  if (written != floats) return Status::Internal("suffix output count");
+  return out;
 }
 
 }  // namespace smol::testing
