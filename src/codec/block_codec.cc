@@ -206,12 +206,28 @@ void EncodeBlock(const CoeffBlock& block, int* dc_pred,
 
 namespace {
 
+// The next 8 stream bytes as one big-endian word.
+uint64_t LoadBe64(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  word = __builtin_bswap64(word);
+#endif
+  return word;
+}
+
 // MSB-first 64-bit bit window over a BitReader's stream. It refills whole
 // bytes and never reads past the stream; past its end the window shifts in
 // zeros and its bit count goes negative, so Overrun() is exactly "a consumed
 // bit lies past the end" (where BitReader::SkipBits fails).
 class BitWindow {
  public:
+  // Bytes that must remain past the load pointer for a whole block to
+  // decode unchecked: a block consumes under 250 bytes (a 31-bit DC plus 63
+  // AC symbols of at most 31 bits), the load pointer runs at most 8 bytes
+  // ahead of the consumed bits, and a refill loads 8 bytes.
+  static constexpr ptrdiff_t kFarBytes = 264;
+
   explicit BitWindow(const BitReader& reader)
       : begin_(reader.data()), end_(reader.data() + reader.size()) {
     const size_t pos = reader.bit_position();
@@ -220,22 +236,26 @@ class BitWindow {
     Consume(static_cast<int>(pos & 7));
   }
 
+  // True while a whole block decodes with RefillFar() and no Overrun().
+  bool Far() const { return end_ - next_ >= kFarBytes; }
+
+  // Guarantees 56 bits to Peek: one unaligned load. The bytes that do not
+  // fit whole are loaded again next time, OR-ing the same bits into the
+  // same place. 8 bytes must remain past the load pointer.
+  void RefillFar() {
+    bits_ |= LoadBe64(next_) >> count_;
+    next_ += (63 - count_) >> 3;
+    count_ |= 56;
+  }
+
   // Guarantees 32 bits to Peek (zeros past the end of the stream), enough
   // for a 16-bit code plus 15 value bits.
   void Refill() {
     if (count_ >= 32) return;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     if (end_ - next_ >= 8) {
-      // One unaligned load. The bytes that do not fit whole are loaded
-      // again next time, OR-ing the same bits into the same place.
-      uint64_t word;
-      std::memcpy(&word, next_, 8);
-      bits_ |= __builtin_bswap64(word) >> count_;
-      next_ += (63 - count_) >> 3;
-      count_ |= 56;
+      RefillFar();
       return;
     }
-#endif
     while (count_ <= 56 && next_ < end_) {
       bits_ |= static_cast<uint64_t>(*next_++) << (56 - count_);
       count_ += 8;
@@ -266,7 +286,23 @@ class BitWindow {
   int count_ = 0;        // loaded bits not yet consumed
 };
 
-Status Truncated() { return Status::Corruption("bitstream truncated"); }
+// The fast-AC run that marks EOB: from any position it steps past the
+// block, as a ZRL (run 15 plus a zero) does from position 48 on.
+constexpr int kEobRun = 63;
+
+// Natural index of each zig-zag position a fast symbol can reach (at most
+// 63 + kEobRun). Positions past the block map to 0, the DC slot: it takes
+// the one store past the block (a zero for EOB or ZRL, a non-zero value for
+// an index overflow) and is written with the DC value last.
+constexpr uint8_t kZigZagOrDc[128] = {
+    0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,
+    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,
+    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
+    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
+
+constexpr const char* kTruncated = "bitstream truncated";
+constexpr const char* kInvalidPrefix = "invalid Huffman prefix";
+constexpr const char* kIndexOverflow = "AC index overflow";
 
 }  // namespace
 
@@ -288,75 +324,140 @@ BlockDecodeTables::BlockDecodeTables(const HuffmanTable& dc,
     const int sym = static_cast<int>(entry >> 8);
     const int size = sym & 0x0F;
     const uint32_t span_end = prefix + (1u << (kHuffmanLutBits - code_len));
-    // EOB, ZRL and other size-0 symbols, symbols outside the run/size byte
-    // alphabet, and values whose bits run past the prefix keep len == 0.
-    if (size == 0 || sym > 0xFF || code_len + size > kHuffmanLutBits) {
+    // EOB is a zero past the block and ZRL a zero after a run of 15. Other
+    // size-0 symbols, symbols outside the run/size byte alphabet and values
+    // whose bits run past the prefix keep len == 0.
+    const bool eob_or_zrl = sym == 0x00 || sym == 0xF0;
+    if ((size == 0 && !eob_or_zrl) || sym > 0xFF ||
+        code_len + size > kHuffmanLutBits) {
       prefix = span_end;
       continue;
     }
+    const int run = sym == 0x00 ? kEobRun : sym >> 4;
     const uint32_t per_value = 1u << (kHuffmanLutBits - code_len - size);
     for (uint32_t bits = 0; prefix < span_end; ++bits) {
-      const FastAc fast{
-          static_cast<int16_t>(DecodeValueBits(bits, size)),
-          static_cast<uint8_t>(sym >> 4),
-          static_cast<uint8_t>(code_len + size)};
+      const FastAc fast{static_cast<uint8_t>(code_len + size),
+                        static_cast<uint8_t>(run),
+                        static_cast<int16_t>(DecodeValueBits(bits, size))};
       for (uint32_t k = 0; k < per_value; ++k) fast_ac_[prefix++] = fast;
     }
   }
 }
 
+// The block decoder, a friend of BlockDecodeTables. Errors are static
+// messages (nullptr for none), turned into a Status once per call.
+class BlockDecoder {
+ public:
+  // Decodes one block from \p w. kFar: the window is Far() at its start, so
+  // it refills unchecked once per four fast symbols and never overruns;
+  // otherwise it refills and checks for an overrun after every symbol.
+  // \p coef must be zero.
+  template <bool kFar>
+  static const char* Block(BitWindow& w, const BlockDecodeTables& t,
+                           int* dc_pred, int16_t* coef) {
+    kFar ? w.RefillFar() : w.Refill();
+    // DC: one LUT probe for the size, then its value bits without a
+    // branch (size 0 peeks nothing and decodes 0).
+    const uint32_t dc = t.dc_->Lookup(w.Peek(kMaxHuffmanBits));
+    if (dc == 0) return kInvalidPrefix;
+    w.Consume(static_cast<int>(dc & 0xFF));
+    const int size = static_cast<int>(dc >> 8);
+    if (size > 15) return "bad DC size";
+    const int bits = static_cast<int>(w.Peek(16) >> (16 - size));
+    const int diff = bits >= (1 << size) >> 1 ? bits : bits - ((1 << size) - 1);
+    w.Consume(size);
+    if (!kFar && w.Overrun()) return kTruncated;
+    *dc_pred += diff;
+    int i = 1;  // zig-zag position of the next coefficient
+    for (;;) {
+      if (kFar) w.RefillFar();
+      // kFar: four fast symbols per refill, each at most kHuffmanLutBits
+      // of the 56 bits it guarantees.
+#pragma GCC unroll 4
+      for (int s = 0; s < (kFar ? 4 : 1); ++s) {
+        if (!kFar) w.Refill();
+        const BlockDecodeTables::FastAc f =
+            t.fast_ac_[w.Peek(kHuffmanLutBits)];
+        if (f.len == 0) goto slow;
+        w.Consume(f.len);
+        i += f.run;
+        coef[kZigZagOrDc[i++]] = f.value;
+        if (!kFar && w.Overrun()) return kTruncated;
+        if (i >= 64) goto end;
+      }
+      continue;
+    slow:
+      // A symbol the fast table leaves to the Huffman LUT or canonical scan.
+      kFar ? w.RefillFar() : w.Refill();
+      {
+        const uint32_t entry = t.ac_->Lookup(w.Peek(kMaxHuffmanBits));
+        if (entry == 0) return kInvalidPrefix;
+        w.Consume(static_cast<int>(entry & 0xFF));
+        if (!kFar && w.Overrun()) return kTruncated;
+        const int sym = static_cast<int>(entry >> 8);
+        if (sym == 0x00) break;  // EOB
+        if (sym == 0xF0) {       // ZRL
+          i += 16;
+          if (i >= 64) break;
+          continue;
+        }
+        const int run = sym >> 4;
+        const int size = sym & 0x0F;
+        if (size == 0) return "bad AC symbol";
+        i += run;
+        if (i >= 64) return kIndexOverflow;
+        coef[kZigZagOrDc[i++]] =
+            static_cast<int16_t>(DecodeValueBits(w.Peek(size), size));
+        w.Consume(size);
+        if (!kFar && w.Overrun()) return kTruncated;
+        if (i >= 64) break;
+      }
+    }
+  end:
+    // The one end check: the DC slot holds the store past the block, which
+    // is zero unless a value landed there.
+    if (coef[0] != 0) return kIndexOverflow;
+    coef[0] = static_cast<int16_t>(*dc_pred);
+    return nullptr;
+  }
+
+  static Status Blocks(BitReader* reader,
+                       const BlockDecodeTables* const* tables,
+                       const int* components, int period, int count,
+                       int* dc_pred, DecodedBlock* out, int* decoded) {
+    std::memset(out, 0, sizeof(DecodedBlock) * static_cast<size_t>(count));
+    BitWindow w(*reader);
+    const char* error = nullptr;
+    int k = 0;
+    for (int slot = 0; k < count; ++k) {
+      const BlockDecodeTables& t = *tables[slot];
+      int* pred = &dc_pred[components[slot]];
+      error = w.Far() ? Block<true>(w, t, pred, out[k].coef)
+                      : Block<false>(w, t, pred, out[k].coef);
+      if (error != nullptr) break;
+      if (++slot == period) slot = 0;
+    }
+    *decoded = k;
+    if (error != nullptr) return Status::Corruption(error);
+    reader->SetBitPosition(w.BitPosition());
+    return Status::OK();
+  }
+};
+
 Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
                    int* dc_pred, DecodedBlock* block) {
-  std::memset(block->coef, 0, sizeof(block->coef));
-  BitWindow window(*reader);
-  const uint32_t dc_entry = tables.dc_->Lookup(window.Peek(kMaxHuffmanBits));
-  if (dc_entry == 0) return Status::Corruption("invalid Huffman prefix");
-  window.Consume(static_cast<int>(dc_entry & 0xFF));
-  const int dc_size = static_cast<int>(dc_entry >> 8);
-  if (dc_size > 15) return Status::Corruption("bad DC size");
-  int diff = 0;
-  if (dc_size > 0) {
-    diff = DecodeValueBits(window.Peek(dc_size), dc_size);
-    window.Consume(dc_size);
-  }
-  if (window.Overrun()) return Truncated();
-  *dc_pred += diff;
-  block->coef[0] = static_cast<int16_t>(*dc_pred);  // kZigZag[0] == 0
-  int i = 1;
-  while (i < 64) {
-    window.Refill();
-    const BlockDecodeTables::FastAc fast =
-        tables.fast_ac_[window.Peek(kHuffmanLutBits)];
-    if (fast.len != 0) {
-      window.Consume(fast.len);
-      i += fast.run;
-      if (i >= 64) return Status::Corruption("AC index overflow");
-      block->coef[kZigZag[i++]] = fast.value;
-      if (window.Overrun()) return Truncated();
-      continue;
-    }
-    const uint32_t entry = tables.ac_->Lookup(window.Peek(kMaxHuffmanBits));
-    if (entry == 0) return Status::Corruption("invalid Huffman prefix");
-    window.Consume(static_cast<int>(entry & 0xFF));
-    if (window.Overrun()) return Truncated();
-    const int sym = static_cast<int>(entry >> 8);
-    if (sym == 0x00) break;  // EOB
-    if (sym == 0xF0) {       // ZRL
-      i += 16;
-      continue;
-    }
-    const int run = sym >> 4;
-    const int size = sym & 0x0F;
-    if (size == 0) return Status::Corruption("bad AC symbol");
-    i += run;
-    if (i >= 64) return Status::Corruption("AC index overflow");
-    block->coef[kZigZag[i++]] = static_cast<int16_t>(
-        DecodeValueBits(window.Peek(size), size));
-    window.Consume(size);
-    if (window.Overrun()) return Truncated();
-  }
-  reader->SetBitPosition(window.BitPosition());
-  return Status::OK();
+  const BlockDecodeTables* slot = &tables;
+  const int component = 0;
+  int decoded = 0;
+  return BlockDecoder::Blocks(reader, &slot, &component, 1, 1, dc_pred, block,
+                              &decoded);
+}
+
+Status DecodeBlocks(BitReader* reader, const BlockDecodeTables* const* tables,
+                    const int* components, int period, int count,
+                    int* dc_pred, DecodedBlock* out, int* decoded) {
+  return BlockDecoder::Blocks(reader, tables, components, period, count,
+                              dc_pred, out, decoded);
 }
 
 }  // namespace smol

@@ -83,23 +83,24 @@ void EncodeBlock(const CoeffBlock& block, int* dc_pred,
 ///
 /// Borrows the DC and AC Huffman tables (they must outlive this) and builds
 /// a fast-AC table from the AC table's LUT: per kHuffmanLutBits-bit stream
-/// prefix, a whole AC coefficient -- run/size code plus value bits -- when
-/// both fit the prefix. Build it once per table set (per SJPG decode, per
-/// SV264 frame) on the stack: it is ~4 KB and allocates nothing.
+/// prefix, a whole AC symbol -- run/size code plus value bits, EOB and ZRL
+/// included -- when it fits the prefix. Build it once per table set (per
+/// SJPG decode, per SV264 frame) on the stack: it is ~4 KB and allocates
+/// nothing.
 class BlockDecodeTables {
  public:
   BlockDecodeTables(const HuffmanTable& dc, const HuffmanTable& ac);
 
  private:
-  friend Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
-                            int* dc_pred, DecodedBlock* block);
+  friend class BlockDecoder;  // block_codec.cc
 
   // len == 0: the prefix needs the Huffman LUT or canonical scan instead
-  // (EOB, ZRL, codes whose value bits do not fit, invalid prefixes).
+  // (other size-0 symbols, codes whose value bits do not fit, invalid
+  // prefixes). len comes first: the low byte of an entry is the shift.
   struct FastAc {
-    int16_t value;  // decoded coefficient
-    uint8_t run;    // zero run before it
     uint8_t len;    // code + value bits consumed
+    uint8_t run;    // zero run before it (EOB: a run past the block)
+    int16_t value;  // decoded coefficient; 0 marks EOB and ZRL
   };
 
   const HuffmanTable* dc_;
@@ -108,15 +109,28 @@ class BlockDecodeTables {
 };
 
 /// Entropy-decodes one block, reading from the reader's position and leaving
-/// it after the block. Each coefficient is written at its natural index, and
-/// only the non-zero ones are written after one clear. Decodes from a 64-bit
-/// bit window: most AC coefficients take one fast-AC probe, DC and the rest
-/// one Huffman LUT probe (or the canonical scan for codes over
-/// kHuffmanLutBits). Corruption on a consumed bit past the end of the
-/// stream, an invalid prefix, DC size > 15, AC size 0 or AC index >= 64;
-/// the reader position is then unspecified.
+/// it after the block. Each coefficient is written at its natural index.
+/// Corruption on a consumed bit past the end of the stream, an invalid
+/// prefix, DC size > 15, an AC size-0 symbol other than EOB and ZRL, or AC
+/// index >= 64 (a ZRL past the last coefficient ends the block); the reader
+/// position is then unspecified. The same decoder as DecodeBlocks with
+/// count 1.
 Status DecodeBlock(BitReader* reader, const BlockDecodeTables& tables,
                    int* dc_pred, DecodedBlock* block);
+
+/// Entropy-decodes \p count consecutive blocks into out[0, count) through
+/// one 64-bit bit window, then leaves the reader after the last block (an
+/// SJPG MCU row is one call). Block k uses *tables[k % period] and the DC
+/// predictor dc_pred[components[k % period]]. Every block decodes as
+/// DecodeBlock would. Most symbols take one fast-table probe; while a
+/// block's worth of bytes remains in the stream the window refills once per
+/// four of them and checks for the end of the stream once per block, and
+/// nearer the end it checks every symbol. *decoded is the number of blocks
+/// decoded before the first failing one (count on OK); on failure the
+/// reader position is unspecified.
+Status DecodeBlocks(BitReader* reader, const BlockDecodeTables* const* tables,
+                    const int* components, int period, int count,
+                    int* dc_pred, DecodedBlock* out, int* decoded);
 
 }  // namespace smol
 

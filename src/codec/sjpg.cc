@@ -240,19 +240,24 @@ Result<ParsedStream> ParseStream(const std::vector<uint8_t>& bytes) {
   return ps;
 }
 
-// The block decoder's tables for one decode: the fast-AC tables are built
-// once from the stream's Huffman tables (gray streams carry no chroma ones).
+// The block decoder's tables for one decode, built once from the stream's
+// Huffman tables (gray streams carry no chroma ones), and the per-slot
+// view DecodeBlocks reads: an MCU's blocks in stream order, each with its
+// tables and its DC predictor.
 struct EntropyTables {
   explicit EntropyTables(const ParsedStream& ps)
       : luma(ps.dc_luma, ps.ac_luma) {
     if (ps.header.channels == 3) chroma.emplace(ps.dc_chroma, ps.ac_chroma);
-  }
-  const BlockDecodeTables& For(int component) const {
-    return component == 0 ? luma : *chroma;
+    for (int b = 0; b < 6; ++b) {
+      component[b] = kColorBlocks[b].component;
+      slot[b] = component[b] != 0 && chroma ? &*chroma : &luma;
+    }
   }
 
   BlockDecodeTables luma;
   std::optional<BlockDecodeTables> chroma;
+  const BlockDecodeTables* slot[6];
+  int component[6];
 };
 
 }  // namespace
@@ -275,9 +280,10 @@ struct Band {
 // The one SJPG decode loop, shared by full, ROI and reduced-resolution
 // decodes (§6.4: decode only the rows, columns and coefficients the output
 // needs). Seeks each MCU row of the band through the row index and
-// entropy-decodes it up to column mc1 (raster early stop); inverse-transforms
-// and stores only the MCUs in [mc0, mc1), at N x N samples per block
-// (N = 8 / scale_denom); then converts the band to RGB and emits its crop.
+// entropy-decodes it up to column mc1 (raster early stop) into a row buffer
+// with one DecodeBlocks call, then inverse-transforms and stores only the
+// MCUs in [mc0, mc1), at N x N samples per block (N = 8 / scale_denom).
+// Last, it converts the band to RGB and emits its crop.
 // N is a compile-time constant so every instance keeps constant block
 // sizes: N = 8 is the full-size loop, with no scaled arithmetic in it.
 template <int N>
@@ -299,29 +305,38 @@ Status DecodeBand(const ParsedStream& ps, const std::vector<uint8_t>& bytes,
   const int blocks_per_mcu = color ? 6 : 1;
 
   const EntropyTables tables(ps);
+  // One MCU row's blocks, entropy-decoded up to column mc1 in one call.
+  const int row_blocks = band.mc1 * blocks_per_mcu;
+  const int skipped = band.mc0 * blocks_per_mcu;  // left of the band
+  std::vector<DecodedBlock> row_coefs(static_cast<size_t>(row_blocks));
   BitReader reader(bytes.data(), bytes.size());
   for (int mr = band.mr0; mr < band.mr1; ++mr) {
     // Seek via the row index: rows outside the band cost nothing.
     SMOL_RETURN_IF_ERROR(
         reader.SeekToByte(ps.entropy_base + ps.row_offsets[mr]));
-    const int row = mr - band.mr0;
     int dc_pred[3] = {0, 0, 0};
-    for (int mc = 0; mc < band.mc1; ++mc) {
-      const int col = mc - band.mc0;  // negative left of the band
+    int decoded = 0;
+    const Status status =
+        DecodeBlocks(&reader, tables.slot, tables.component, blocks_per_mcu,
+                     row_blocks, dc_pred, row_coefs.data(), &decoded);
+    if (stats != nullptr) {
+      // Counted as if each block were transformed as soon as it decoded.
+      stats->entropy_blocks += decoded;
+      stats->idct_blocks += std::max(0, decoded - skipped);
+    }
+    SMOL_RETURN_IF_ERROR(status);
+    const int row = mr - band.mr0;
+    for (int mc = band.mc0; mc < band.mc1; ++mc) {
+      const int col = mc - band.mc0;
+      const DecodedBlock* mcu_coefs = &row_coefs[mc * blocks_per_mcu];
       for (int b = 0; b < blocks_per_mcu; ++b) {
         const BlockRef& ref = blocks[b];
-        DecodedBlock cb;
-        SMOL_RETURN_IF_ERROR(DecodeBlock(&reader, tables.For(ref.component),
-                                         &dc_pred[ref.component], &cb));
-        if (stats != nullptr) stats->entropy_blocks++;
-        if (col < 0) continue;  // skip the inverse transform left of the band
-        if (stats != nullptr) stats->idct_blocks++;
         const QuantTable& qt = ref.component == 0 ? ps.luma_qt : ps.chroma_qt;
         int16_t samples[N * N];
         if constexpr (N == 8) {
-          ReconstructBlock(cb, qt, samples);
+          ReconstructBlock(mcu_coefs[b], qt, samples);
         } else {
-          ReconstructBlockScaled(cb, qt, N, samples);
+          ReconstructBlockScaled(mcu_coefs[b], qt, N, samples);
         }
         if (ref.component == 0) {
           StoreBlock(samples, N, planes.y, planes.width, planes.height,

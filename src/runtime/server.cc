@@ -387,22 +387,20 @@ Status Server::Stage(const WorkItem& item, const PlanRung& rung,
       PlanOutputFloats(rung.plan, rung.spec, scratch.decoded.width(),
                        scratch.decoded.height(), scratch.decoded.channels()));
   float* dst = stage_into(floats);
-  CachedImage value;
+  const Image* prefix = nullptr;
   size_t written = 0;
   if (cache_ == nullptr) {
     SMOL_ASSIGN_OR_RETURN(
         written, ExecutePlanInto(rung.plan, rung.spec, scratch.decoded,
                                  scratch.preproc, dst, floats));
   } else {
-    // A miss keeps an exact-size copy of the plan's u8 prefix for the cache,
-    // then runs the suffix from it.
-    SMOL_ASSIGN_OR_RETURN(const Image* prefix,
-                          ExecutePlanPrefix(rung.plan, rung.spec,
-                                            scratch.decoded, scratch.preproc));
-    value.image = std::make_shared<const Image>(*prefix);
-    value.float_count = floats;
+    // A miss runs the suffix from the scratch prefix, which the suffix
+    // leaves intact for the cache to copy.
+    SMOL_ASSIGN_OR_RETURN(prefix, ExecutePlanPrefix(rung.plan, rung.spec,
+                                                    scratch.decoded,
+                                                    scratch.preproc));
     SMOL_ASSIGN_OR_RETURN(
-        written, ExecutePlanSuffix(rung.plan, rung.spec, *value.image,
+        written, ExecutePlanSuffix(rung.plan, rung.spec, *prefix,
                                    scratch.preproc, dst, floats));
   }
   preproc_us_.fetch_add(static_cast<uint64_t>(sw.ElapsedMicros()));
@@ -411,9 +409,12 @@ Status Server::Stage(const WorkItem& item, const PlanRung& rung,
   }
   if (cache_ != nullptr) {
     // Charged what a staging buffer of the image's size reserves, as
-    // CacheOptions::tensor_cache_bytes describes.
-    const size_t charge = pool.ReserveBytes(value.image->size_bytes());
-    cache_->Put(key, std::move(value), charge);
+    // CacheOptions::tensor_cache_bytes describes. The exact-size copy is
+    // made only if the cache admits the entry.
+    const size_t charge = pool.ReserveBytes(prefix->size_bytes());
+    cache_->Put(key, charge, [prefix, floats] {
+      return CachedImage{std::make_shared<const Image>(*prefix), floats};
+    });
   }
   return Status::OK();
 }

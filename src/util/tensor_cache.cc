@@ -134,7 +134,8 @@ void TensorCache::EvictToFit(Shard& shard) {
   }
 }
 
-void TensorCache::Put(const Key& key, CachedImage value, size_t charge) {
+void TensorCache::Put(const Key& key, size_t charge,
+                      const std::function<CachedImage()>& make_value) {
   const size_t bytes = charge + kEntryOverhead;
   const uint64_t key_hash = KeyHashOf(key);
   Shard& shard = ShardFor(key_hash);
@@ -146,8 +147,8 @@ void TensorCache::Put(const Key& key, CachedImage value, size_t charge) {
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Replace in place (concurrent producers can race to insert one key).
+    it->second->value = make_value();
     shard.bytes = shard.bytes - it->second->bytes + bytes;
-    it->second->value = std::move(value);
     it->second->bytes = bytes;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     EvictToFit(shard);
@@ -161,7 +162,7 @@ void TensorCache::Put(const Key& key, CachedImage value, size_t charge) {
     shard.stats.not_admitted++;
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(value), bytes});
+  shard.lru.push_front(Entry{key, make_value(), bytes});
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += bytes;
   shard.stats.insertions++;

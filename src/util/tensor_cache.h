@@ -46,15 +46,17 @@
 // every kSketchSampleFactor x resident-entries lookups so old popularity
 // fades). A Put that fits in the budget is always admitted. A Put that would
 // have to evict is admitted only when its key's estimate is at least the LRU
-// victim's; otherwise the value is dropped (counted in `not_admitted`) and
-// the caller keeps its own reference. Under zipf traffic this keeps the head
-// resident instead of letting one-off keys from the tail evict it.
+// victim's; otherwise the value is never built (counted in `not_admitted`):
+// Put takes a function that builds it, run only for an admitted insert.
+// Under zipf traffic this keeps the head resident instead of letting one-off
+// keys from the tail evict it.
 #ifndef SMOL_UTIL_TENSOR_CACHE_H_
 #define SMOL_UTIL_TENSOR_CACHE_H_
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -115,13 +117,21 @@ class TensorCache {
   /// nullopt. Counted as hit/miss.
   std::optional<CachedImage> Get(const Key& key);
 
-  /// Inserts \p value under \p key at \p charge bytes plus 128 B of
-  /// bookkeeping, evicting LRU entries of the shard until its byte budget
-  /// holds. An insert that must evict is admitted only when \p key's
-  /// frequency estimate is at least the LRU victim's. Replaces an existing
-  /// entry for the same key, evicting other entries if the new charge is
-  /// larger. Oversized entries (> shard budget) are rejected.
-  void Put(const Key& key, CachedImage value, size_t charge);
+  /// Inserts the value \p make_value builds under \p key at \p charge bytes
+  /// plus 128 B of bookkeeping, evicting LRU entries of the shard until its
+  /// byte budget holds. An insert that must evict is admitted only when
+  /// \p key's frequency estimate is at least the LRU victim's. Replaces an
+  /// existing entry for the same key, evicting other entries if the new
+  /// charge is larger. Oversized entries (> shard budget) are rejected.
+  /// \p make_value runs (under the shard's lock) only for an insert that is
+  /// admitted, so a refused one costs no copy.
+  void Put(const Key& key, size_t charge,
+           const std::function<CachedImage()>& make_value);
+
+  /// The same for a value already built.
+  void Put(const Key& key, CachedImage value, size_t charge) {
+    Put(key, charge, [&value] { return std::move(value); });
+  }
 
   /// Aggregated statistics across shards.
   TensorCacheStats stats() const;

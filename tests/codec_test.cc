@@ -1406,18 +1406,84 @@ Result<SjpgLayout> ParseSjpgLayout(const std::vector<uint8_t>& bytes) {
   return layout;
 }
 
-// Decodes the MCU rows of \p bytes from \p first_row on with both decoders
-// side by side; a row stops at its first failing block (the decoders stop
-// there too). Returns "" when every block agrees, else the first mismatch.
+constexpr int kColorComponent[6] = {0, 0, 0, 0, 1, 2};
+
+// Decodes MCU row \p mr of \p bytes with DecodeBlocks in one call (as the
+// SJPG decoder does) and with a loop of ReferenceDecodeBlock up to its first
+// failure. Returns "" when they agree -- the same first failing block, or
+// none; the same coefficients (and so DC predictors) in every block before
+// it; and for a whole row, the same predictors and reader position -- else
+// what differed.
+std::string CompareRowDecoder(const std::vector<uint8_t>& bytes,
+                              const SjpgLayout& layout,
+                              const BlockDecodeTables tables[2], int mr) {
+  const int blocks_per_mcu = layout.color ? 6 : 1;
+  const int count = layout.mcu_cols * blocks_per_mcu;
+  BitReader ref(bytes.data(), bytes.size());
+  BitReader fast(bytes.data(), bytes.size());
+  const size_t start = layout.entropy_base + layout.row_offsets[mr];
+  if (!ref.SeekToByte(start).ok() || !fast.SeekToByte(start).ok()) return "";
+  std::vector<CoeffBlock> want(static_cast<size_t>(count));
+  int ref_pred[3] = {0, 0, 0};
+  int ref_decoded = 0;
+  Status ref_status;
+  for (; ref_decoded < count; ++ref_decoded) {
+    const int comp = layout.color ? kColorComponent[ref_decoded % 6] : 0;
+    const int t = comp == 0 ? 0 : 1;
+    ref_status = ReferenceDecodeBlock(&ref, layout.dc[t], layout.ac[t],
+                                      &ref_pred[comp], &want[ref_decoded]);
+    if (!ref_status.ok()) break;
+  }
+  const BlockDecodeTables* slots[6];
+  int components[6];
+  for (int b = 0; b < 6; ++b) {
+    components[b] = layout.color ? kColorComponent[b] : 0;
+    slots[b] = &tables[components[b] == 0 ? 0 : 1];
+  }
+  std::vector<DecodedBlock> got(static_cast<size_t>(count));
+  int fast_pred[3] = {0, 0, 0};
+  int decoded = -1;
+  const Status status = DecodeBlocks(&fast, slots, components, blocks_per_mcu,
+                                     count, fast_pred, got.data(), &decoded);
+  const std::string where = "row " + std::to_string(mr) + " decoder: ";
+  if (status.code() != ref_status.code() || decoded != ref_decoded) {
+    return where + "block " + std::to_string(ref_decoded) + " " +
+           ref_status.ToString() + " vs block " + std::to_string(decoded) +
+           " " + status.ToString();
+  }
+  for (int k = 0; k < decoded; ++k) {
+    for (int i = 0; i < 64; ++i) {
+      if (want[k].zz[i] != got[k].coef[kZigZag[i]]) {
+        return where + "block " + std::to_string(k) + " coefficient " +
+               std::to_string(i) + " (zig-zag) differs";
+      }
+    }
+  }
+  if (!status.ok()) return "";
+  for (int c = 0; c < 3; ++c) {
+    if (ref_pred[c] != fast_pred[c]) return where + "DC predictor differs";
+  }
+  if (ref.bit_position() != fast.bit_position()) {
+    return where + "reader position " + std::to_string(ref.bit_position()) +
+           " vs " + std::to_string(fast.bit_position());
+  }
+  return "";
+}
+
+// Decodes the MCU rows of \p bytes from \p first_row on with both block
+// decoders side by side, a row stopping at its first failing block (the
+// decoders stop there too), and each row again with DecodeBlocks. Returns ""
+// when every block agrees, else the first mismatch.
 std::string CompareSjpgRows(const std::vector<uint8_t>& bytes,
                             const SjpgLayout& layout, int first_row,
                             ParityCounts* counts) {
-  static constexpr int kColorComponent[6] = {0, 0, 0, 0, 1, 2};
   const BlockDecodeTables tables[2] = {
       BlockDecodeTables(layout.dc[0], layout.ac[0]),
       BlockDecodeTables(layout.dc[1], layout.ac[1])};
   const int blocks_per_mcu = layout.color ? 6 : 1;
   for (int mr = first_row; mr < layout.mcu_rows; ++mr) {
+    const std::string row_diff = CompareRowDecoder(bytes, layout, tables, mr);
+    if (!row_diff.empty()) return row_diff;
     DecoderPair pair(bytes);
     if (!pair.Seek(layout.entropy_base + layout.row_offsets[mr])) continue;
     int ref_pred[3] = {0, 0, 0};
@@ -1557,6 +1623,44 @@ TEST_P(SjpgParityTest, MutantsMatchReferenceAndNeverCrash) {
         << "flip trial " << trial;
   }
   // Both outcomes were exercised.
+  EXPECT_GT(counts.ok, 0);
+  EXPECT_GT(counts.failed, 0);
+}
+
+// The block decoders check for the end of the stream once per block while
+// 264 bytes remain past the bit window's load pointer, and after every
+// symbol nearer the end. The benchmark stream's last row starts further than
+// that from the end, so one DecodeBlocks call switches paths inside it:
+// every cut and 400 seeded flips inside its last 264 bytes, where the
+// per-symbol checks run on damaged data.
+TEST(BlockDecodeParityTest, FlipsAndCutsNearTheEndMatchReference) {
+  constexpr size_t kFarBytes = 264;
+  const auto bytes = EncodeParityCase(
+      {"bench128q85", 128, 128, 3, 85, SjpgParityCase::kBenchmark});
+  ASSERT_OK_AND_ASSIGN(SjpgLayout pristine, ParseSjpgLayout(bytes));
+  ASSERT_LT(pristine.entropy_base +
+                pristine.row_offsets[pristine.mcu_rows - 1] + kFarBytes,
+            bytes.size());
+  ParityCounts counts;
+  for (size_t keep = bytes.size() - kFarBytes; keep < bytes.size(); ++keep) {
+    const std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + keep);
+    RunWholeDecoders(cut);
+    ASSERT_EQ(CompareSjpgRows(cut, pristine, 0, &counts), "")
+        << "kept " << keep;
+  }
+  Rng rng(264);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<uint8_t> mutant = bytes;
+    const int flips = 1 + static_cast<int>(rng.Uniform(3));
+    for (int f = 0; f < flips; ++f) {
+      const uint64_t bit = (bytes.size() - kFarBytes) * 8 +
+                           rng.Uniform(kFarBytes * 8);
+      mutant[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    RunWholeDecoders(mutant);
+    ASSERT_EQ(CompareSjpgRows(mutant, pristine, 0, &counts), "")
+        << "flip trial " << trial;
+  }
   EXPECT_GT(counts.ok, 0);
   EXPECT_GT(counts.failed, 0);
 }

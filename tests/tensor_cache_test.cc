@@ -146,6 +146,46 @@ TEST(TensorCacheTest, OversizedValuesAreRejectedNotCached) {
   EXPECT_EQ(stats.bytes_cached, 0u);
 }
 
+// Put builds its value only for an insert it admits: a Put refused by
+// admission or rejected as oversized never runs the builder, so the server
+// copies no image for it.
+TEST(TensorCacheTest, RefusedPutBuildsNoValue) {
+  TensorCache::Options options;
+  options.shards = 1;
+  options.capacity_bytes = 2 * (1024 + 128);  // two 1 KiB entries
+  TensorCache cache(options);
+  int built = 0;
+  auto builder = [&built] {
+    ++built;
+    return MakeTensor(256);
+  };
+  // Two hot keys fill the cache; each is built once.
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t k = 0; k < 2; ++k) {
+      if (!cache.Get(MakeKey(k)).has_value()) {
+        cache.Put(MakeKey(k), 1024, builder);
+      }
+    }
+  }
+  EXPECT_EQ(built, 2);
+  // A key looked up once must evict a hotter one: refused, never built.
+  EXPECT_FALSE(cache.Get(MakeKey(9)).has_value());
+  cache.Put(MakeKey(9), 1024, builder);
+  // An oversized entry: rejected, never built.
+  cache.Put(MakeKey(10), 1 << 20, builder);
+  EXPECT_EQ(built, 2);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.not_admitted, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.insertions, 2u);
+  // Replacing a resident key builds the new value.
+  cache.Put(MakeKey(0), 1024, builder);
+  EXPECT_EQ(built, 3);
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.insertions, 2u);
+}
+
 TEST(TensorCacheTest, CapacityEnforcedAcrossManyInsertions) {
   TensorCache::Options options;
   options.shards = 4;
